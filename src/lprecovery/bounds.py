@@ -24,10 +24,12 @@ for the covering-number term of a gamma-net on the unit sphere:
   E e^{t|X|^p S} and the fixed-point inequality
       rho * lt_max(alpha, p, rho) <= (1-rho) * lambda_min((alpha-rho)/(1-rho), p).
 
-All inner minimizations over t are convex; they are solved by golden-section
-on the exactly evaluated objective, with brackets grown geometrically and
-warm-started across bisection steps (the minimizer is monotone in the
-linear-term coefficient).
+All inner minimizations over t are convex, so the minimizer is the root of
+the stationarity equation: the tilted mean d/dt log E e^{t|X|^p} equals the
+linear-term coefficient.  It is bracketed geometrically from a warm start
+(the minimizer at the previous bisection step) and solved by brentq; the
+returned exponent is the objective evaluated exactly at that tilt, which
+bounds the minimum from above, so search precision only affects tightness.
 """
 
 from __future__ import annotations
@@ -36,17 +38,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .gaussian import (
     abs_moment,
     indicator_tilted_moment_ratio,
-    indicator_tilted_second_moment_ratio,
     log_mgf_indicator,
     log_mgf_pos,
     mgf_neg,
     mgf_neg_log_upper_bound,
     tilted_moment_ratio,
-    tilted_second_moment_ratio,
 )
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
@@ -67,7 +68,6 @@ __all__ = [
     "weak_bound",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _A_CAP = 1e6
 
 
@@ -91,6 +91,11 @@ class MonotonicityError(BoundSearchError):
 class ExponentSearchConfig:
     """Grids and tolerances for the nested exponent optimizations.
 
+    ``t_max`` caps the tilt t; a stationarity root beyond it raises
+    :class:`UnboundedSearchError`.  ``t_tol`` is the widest final bracket
+    on the tilt root: the returned t lies within ``t_tol`` of the point
+    where the tilted mean equals the coefficient.  ``a_tol`` is the
+    bisection tolerance on coefficients and sparsity ratios, and
     ``rho_grid_resolution`` sets the smallest sparsity fraction probed when
     bracketing (range / resolution).
     """
@@ -169,70 +174,48 @@ def binary_entropy(rho: float) -> float:
     return -rho * math.log2(rho) - (1.0 - rho) * math.log2(1.0 - rho)
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float):
-    """Golden-section minimum of a unimodal f on [lo, hi] -> (t, f(t))."""
-    c = hi - (hi - lo) * _GOLDEN
-    d = lo + (hi - lo) * _GOLDEN
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) * _GOLDEN
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) * _GOLDEN
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+def _solve_tilt(mean_fn, a: float, t_max: float, t_tol: float, hint: float) -> float:
+    """Root of the tilted mean, mean_fn(t) = a, on (0, t_max].
 
-
-def _minimize_tilt(objective, t_max: float, t_tol: float, hint=None):
-    """Minimize a convex objective over t > 0.
-
-    Brackets the minimum by geometric growth from 1e-8 (or from a warm-start
-    interval when the caller knows where the previous minimizer sat), then
-    golden-sections.  Returns (t_opt, value).
+    The tilted mean is increasing in t and starts below a at t = 0, so a
+    bracket grown by factors of 4 from ``hint`` (a warm start, or a cold
+    guess) holds the root; brentq then narrows it to at most ``t_tol``.
     """
-    if hint is not None:
-        lo = max(hint[0], 1e-12)
-        hi = min(max(hint[1], lo * 4.0), t_max)
-        # validate that the minimum is interior; otherwise fall back
-        t_opt, val = _golden_minimize(objective, lo, hi, t_tol)
-        if t_opt > lo * 1.02 and t_opt < hi / 1.02:
-            return t_opt, val
-    t_prev, f_prev = 1e-8, objective(1e-8)
-    t_cur = 4e-8
-    f_cur = objective(t_cur)
-    lo = 0.0
-    while f_cur <= f_prev:
-        lo = t_prev
-        t_prev, f_prev = t_cur, f_cur
-        t_cur *= 4.0
-        if t_cur > t_max:
-            raise UnboundedSearchError(f"tilt bracket exceeded t_max={t_max:g}")
-        f_cur = objective(t_cur)
-    return _golden_minimize(objective, lo, t_cur, t_tol)
+    known = {}
+
+    def excess(t):
+        if t not in known:
+            known[t] = mean_fn(t) - a
+        return known[t]
+
+    lo = hi = min(hint, t_max)
+    if excess(hi) > 0.0:
+        lo = hi / 4.0
+        while excess(lo) > 0.0:
+            if lo <= t_tol:
+                return lo  # the root lies in (0, lo]
+            hi, lo = lo, lo / 4.0
+    else:
+        while excess(hi) <= 0.0:
+            if hi >= t_max:
+                raise UnboundedSearchError(f"tilt bracket exceeded t_max={t_max:g}")
+            lo, hi = hi, min(4.0 * hi, t_max)
+    return brentq(excess, lo, hi, xtol=t_tol)
 
 
-def _newton_polish_tilt(t: float, a: float, mean_fn, second_fn, steps: int = 2):
-    """Sharpen the golden-section minimizer on the stationarity equation.
+def _chernoff_exponent(log_mgf_fn, mean_fn, a: float, p: float, cfg, hint):
+    """min_{t>0} [ log_mgf_fn(t) - a t ] -> (t_opt, value) via the stationarity root.
 
-    Comparison-based search cannot localize t beyond the floating-point
-    plateau of the objective; one or two Newton steps on
-    tilted_mean(t) = a restore full first-order accuracy.
+    The value is the objective evaluated exactly at t_opt, which bounds the
+    minimum from above at any t > 0; search precision only affects tightness.
     """
-    for _ in range(steps):
-        mean = mean_fn(t)
-        variance = second_fn(t) - mean * mean
-        if variance <= 0.0:
-            break
-        step = (mean - a) / variance
-        if not math.isfinite(step) or abs(step) > max(1.0, 0.5 * t):
-            break
-        t = max(t - step, 1e-300)
-        if abs(mean - a) <= 1e-12 * max(1.0, abs(a)):
-            break
-    return t
+    t_max = cfg.t_max if cfg is not None else 1e12
+    t_tol = cfg.t_tol if cfg is not None else 1e-10
+    if hint is None:
+        # large-a asymptote of the tilted mean: (p t)^(p / (2 - p)) = a
+        hint = math.exp(min((2.0 - p) / p * math.log(a) - math.log(p), math.log(t_max)))
+    t_opt = _solve_tilt(mean_fn, a, t_max, t_tol, hint)
+    return t_opt, log_mgf_fn(t_opt) - a * t_opt
 
 
 def chernoff_upper_exponent(
@@ -245,29 +228,15 @@ def chernoff_upper_exponent(
     """min_{t>0} [ log E e^{t|X|^p} - a t ] -> (t_opt, value).
 
     Requires a > E[|X|^p]; the objective is convex with a unique interior
-    minimum and the minimum value is strictly negative.
+    minimum and the minimum value is strictly negative.  ``_hint`` is a
+    warm-start tilt, typically the minimizer at a nearby coefficient.
     """
     mu = abs_moment(p, quad)
     if not a > mu:
         raise ValueError(f"need a > E[|X|^p] = {mu:.6f}, got a = {a}")
-    t_max = cfg.t_max if cfg is not None else 1e12
-    t_tol = cfg.t_tol if cfg is not None else 1e-10
-
-    def objective(t):
-        return log_mgf_pos(t, p, quad) - a * t
-
-    t_opt, value = _minimize_tilt(objective, t_max, t_tol, hint=_hint)
-    t_ref = _newton_polish_tilt(
-        t_opt,
-        a,
-        lambda t: tilted_moment_ratio(t, p, quad),
-        lambda t: tilted_second_moment_ratio(t, p, quad),
+    return _chernoff_exponent(
+        lambda t: log_mgf_pos(t, p, quad), lambda t: tilted_moment_ratio(t, p, quad), a, p, cfg, _hint
     )
-    if t_ref != t_opt:
-        value_ref = objective(t_ref)
-        if value_ref <= value:
-            return t_ref, value_ref
-    return t_opt, value
 
 
 def chernoff_indicator_exponent(
@@ -285,24 +254,14 @@ def chernoff_indicator_exponent(
     mu_half = 0.5 * abs_moment(p, quad)
     if not a_tilde > mu_half:
         raise ValueError(f"need a_tilde > E[|X|^p S] = {mu_half:.6f}, got {a_tilde}")
-    t_max = cfg.t_max if cfg is not None else 1e12
-    t_tol = cfg.t_tol if cfg is not None else 1e-10
-
-    def objective(t):
-        return log_mgf_indicator(t, p, quad) - a_tilde * t
-
-    t_opt, value = _minimize_tilt(objective, t_max, t_tol, hint=_hint)
-    t_ref = _newton_polish_tilt(
-        t_opt,
-        a_tilde,
+    return _chernoff_exponent(
+        lambda t: log_mgf_indicator(t, p, quad),
         lambda t: indicator_tilted_moment_ratio(t, p, quad),
-        lambda t: indicator_tilted_second_moment_ratio(t, p, quad),
+        a_tilde,
+        p,
+        cfg,
+        _hint,
     )
-    if t_ref != t_opt:
-        value_ref = objective(t_ref)
-        if value_ref <= value:
-            return t_ref, value_ref
-    return t_opt, value
 
 
 def _net_term(alpha: float, gamma: float) -> float:
@@ -327,7 +286,7 @@ def _smallest_feasible_coefficient(exponent_at, lo_start: float, a_tol: float):
     hint = None
     while True:
         val, t_opt = exponent_at(hi, hint)
-        hint = (t_opt / 8.0, t_opt * 8.0)
+        hint = t_opt
         if val < 0.0:
             break
         hi *= 2.0
@@ -337,7 +296,7 @@ def _smallest_feasible_coefficient(exponent_at, lo_start: float, a_tol: float):
     while hi - lo > a_tol:
         mid = 0.5 * (lo + hi)
         val, t_opt = exponent_at(mid, hint)
-        hint = (t_opt / 8.0, t_opt * 8.0)
+        hint = t_opt
         if val < 0.0:
             hi, val_hi, t_hi = mid, val, t_opt
         else:
@@ -460,7 +419,7 @@ def strong_bound(
         def exponent_at(rho):
             nonlocal hint
             t_opt, val = chernoff_upper_exponent(half_mass / rho, p, cfg, quad, _hint=hint)
-            hint = (t_opt / 8.0, t_opt * 8.0)
+            hint = t_opt
             return binary_entropy(rho) * ln2 + net + rho * val
 
         hi = rho_cap * (1.0 - 1e-9)
@@ -471,20 +430,20 @@ def strong_bound(
             while probe >= rho_floor:
                 e = exponent_at(probe)
                 if e < 0.0:
-                    lo, margin = probe, e
+                    lo, margin, t_margin = probe, e, hint
                     break
                 probe /= 2.0
             if lo is None:
                 continue  # no feasible sparsity at this gamma
             e_hi = exponent_at(hi)
             if e_hi < 0.0:
-                lo, margin = hi, e_hi
+                lo, margin, t_margin = hi, e_hi, hint
             else:
                 while hi - lo > cfg.a_tol:
                     mid = 0.5 * (lo + hi)
                     e = exponent_at(mid)
                     if e < 0.0:
-                        lo, margin = mid, e
+                        lo, margin, t_margin = mid, e, hint
                     else:
                         hi = mid
         except UnboundedSearchError:
@@ -492,7 +451,7 @@ def strong_bound(
             # be certified on the current budget
             continue
         if best is None or lo > best["rho"]:
-            best = {"rho": lo, "gamma": gamma, "margin": margin}
+            best = {"rho": lo, "gamma": gamma, "margin": margin, "t_opt": t_margin}
     if best is None:
         raise InfeasibleBoundError(f"no feasible sparsity ratio for alpha={alpha}, p={p}")
     overall_margin = max(best["margin"], lam_max["margin"], lam_min["margin"])
@@ -511,6 +470,8 @@ def strong_bound(
             "lambda_min_margin": lam_min["margin"],
             "lambda_max_gamma": lam_max["gamma"],
             "lambda_min_gamma": lam_min["gamma"],
+            "lambda_max_t": lam_max["t_opt"],
+            "rho_stage_t": best["t_opt"],
         },
     )
 
@@ -538,7 +499,7 @@ def _lambda_tilde_detail(
         )
         candidate = a_tilde / shrink
         if best is None or candidate < best["value"]:
-            best = {"value": candidate, "gamma": gamma, "a_tilde": a_tilde, "margin": margin}
+            best = {"value": candidate, "gamma": gamma, "a_tilde": a_tilde, "margin": margin, "t_opt": t_opt}
     if best is None:
         raise InfeasibleBoundError("empty gamma grid")
     return best
@@ -589,6 +550,7 @@ def weak_bound(
         ok = rho * lt["value"] <= (1.0 - rho) * lam_min_prime["value"]
         info = {
             "rho": rho,
+            "alpha_prime": alpha_prime,
             "lt": lt,
             "lam_min": lam_min_prime,
             "lam_max": lam_max_prime,
@@ -639,6 +601,18 @@ def weak_bound(
             "lambda_min_alpha_prime": lam_min["value"],
             "lambda_max_alpha_prime": lam_max["value"],
             "slack": (1.0 - lo) * lam_min["value"] - lo * lt["value"],
+            "alpha_prime": lo_info["alpha_prime"],
+            "lambda_tilde_a": lt["a_tilde"],
+            "lambda_tilde_t": lt["t_opt"],
+            "lambda_tilde_margin": lt["margin"],
+            "lambda_max_alpha_prime_gamma": lam_max["gamma"],
+            "lambda_max_alpha_prime_a": lam_max["a"],
+            "lambda_max_alpha_prime_t": lam_max["t_opt"],
+            "lambda_max_alpha_prime_margin": lam_max["margin"],
+            "lambda_min_alpha_prime_gamma": lam_min["gamma"],
+            "lambda_min_alpha_prime_epsilon": lam_min["epsilon"],
+            "lambda_min_alpha_prime_t": lam_min["t"],
+            "lambda_min_alpha_prime_margin": lam_min["margin"],
         },
     )
 

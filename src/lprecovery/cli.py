@@ -318,11 +318,16 @@ def experiment_cmd(kind, spec_path, workers, csv_out, output, fmt) -> None:
         )
     elif kind == "weak-probe":
         budget_raw = raw.get("budget", {})
+        if "seed" in budget_raw:
+            raise click.BadParameter(
+                "budget.seed has no effect: every trial's search seed derives from the "
+                "top-level seed; set that instead",
+                param_hint="'--spec'",
+            )
         budget = conditions.SearchBudget(
             sphere_samples=int(budget_raw.get("sphere_samples", 256)),
             refine_steps=int(budget_raw.get("refine_steps", 120)),
             step_shrink=float(budget_raw.get("step_shrink", 0.5)),
-            seed=RngSeed(int(budget_raw.get("seed", 0))),
         )
         report = experiments.run_weak_threshold_probe(
             n=int(raw["n"]),

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
 
 def _origin_ladder(head: float, floor: float = 1e-14, factor: float = 4.0):
@@ -111,65 +110,55 @@ def _tilt_upper(t: float, p: float, cfg: QuadratureConfig) -> float:
 _BUMP_STEPS = (-26.0, -18.0, -12.0, -8.0, -5.0, -3.0, -1.5, -0.5, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0, 18.0, 26.0)
 
 
-def _log_tilted_integral(t: float, p: float, cfg: QuadratureConfig, moment: int = 0):
-    """log of integral_0^U x^(moment*p) exp(t x^p - x^2/2) dx, peak factored.
+def _tilted_moments(t: float, p: float, cfg: QuadratureConfig, order: int):
+    """Tilted moments integral_0^U x^(j p) exp(t x^p - x^2/2 - g_max) dx, j = 0..order.
 
-    Returns (log_integral, g_max) with g_max the factored peak value, so the
+    One quadrature pass evaluates every moment on the same nodes.  Returns
+    (moments, g_max): ``moments`` is a float for order 0 and a length
+    order + 1 array otherwise, and g_max is the factored peak value, so the
     caller reconstructs the full logarithm without overflow.
     """
     peak = _tilt_peak(t, p)
-    if peak > 50.0:
-        return _log_tilted_integral_shifted(t, p, peak, cfg, moment)
-    upper = _tilt_upper(t, p, cfg)
     g_max = t * peak**p - 0.5 * peak * peak if peak > 0 else 0.0
+    # Peak curvature is universal: g''(peak) = p - 2, so the bump always has
+    # width near 1 / sqrt(2 - p); lay unit-scale panels across it.
+    width = 1.0 / math.sqrt(2.0 - p)
+    if peak > 50.0:
+        # Far from the origin, integrate in s = x - peak: both exponent terms
+        # are then huge while their difference is order one, and expm1/log1p
+        # keep the difference exact.  Beyond ~30 bump widths the integrand
+        # is below 1e-300, so narrow limits lose nothing.  Moment j is
+        # peak^(j p) times the integral of (x / peak)^(j p).
+        tpow = t * peak**p
+        span = 2.5 * cfg.tail_cutoff_sigma * width
+        lo, hi, unit = max(-peak, -span), span, peak**p
+        pts = [width * k for k in _BUMP_STEPS]
+
+        def density_and_power(s):
+            log_ratio = np.log1p(s / peak)
+            return np.exp(tpow * np.expm1(p * log_ratio) - peak * s - 0.5 * s * s), np.exp(p * log_ratio)
+
+    else:
+        lo, hi, unit = 0.0, _tilt_upper(t, p, cfg), 1.0
+        # a geometric ladder resolves the x^p cusp at the origin
+        if peak > 0:
+            bump = [peak + width * k for k in _BUMP_STEPS]
+            pts = _origin_ladder(max(peak / 4, 1.0)) + [x for x in bump if 0.0 < x < hi]
+        else:
+            pts = _origin_ladder(1.0) + [2.0, 4.0]
+
+        def density_and_power(x):
+            xp = np.power(x, p)
+            return np.exp(t * xp - 0.5 * x * x - g_max), xp
 
     def integrand(x):
-        g = t * np.power(x, p) - 0.5 * x * x - g_max
-        val = np.exp(g)
-        if moment:
-            val = val * np.power(x, moment * p)
-        return val
+        val, xp = density_and_power(x)
+        return np.stack([val * xp**j for j in range(order + 1)]) if order else val
 
-    # Peak curvature is universal: g''(peak) = p - 2, so the bump always has
-    # width near 1 / sqrt(2 - p); lay unit-scale panels across it and a
-    # geometric ladder over the origin cusp.
-    if peak > 0:
-        width = 1.0 / math.sqrt(2.0 - p)
-        bump = [peak + width * k for k in _BUMP_STEPS]
-        pts = _origin_ladder(max(peak / 4, 1.0)) + [x for x in bump if 0.0 < x < upper]
-    else:
-        pts = _origin_ladder(1.0) + [2.0, 4.0]
-    value = integrate(integrand, 0.0, upper, cfg, points=tuple(pts))
-    return math.log(value), g_max
-
-
-def _log_tilted_integral_shifted(t: float, p: float, peak: float, cfg: QuadratureConfig, moment: int):
-    """Far-from-origin peaks: integrate in s = x - peak coordinates.
-
-    Both exponent terms are then huge while their difference is order one;
-    expm1/log1p keeps the difference exact.  Beyond ~30 bump widths the
-    integrand is below 1e-300, so narrow limits lose nothing.
-    """
-    tpow = t * peak**p
-    g_max = tpow - 0.5 * peak * peak
-    width = 1.0 / math.sqrt(2.0 - p)
-    span = 2.5 * cfg.tail_cutoff_sigma * width
-    lo = max(-peak, -span)
-
-    def integrand(s):
-        r = s / peak
-        g = tpow * np.expm1(p * np.log1p(r)) - peak * s - 0.5 * s * s
-        val = np.exp(g)
-        if moment:
-            val = val * np.power(1.0 + r, moment * p)
-        return val
-
-    pts = tuple(width * k for k in _BUMP_STEPS)
-    value = integrate(integrand, lo, span, cfg, points=pts)
-    logv = math.log(value)
-    if moment:
-        logv += moment * p * math.log(peak)
-    return logv, g_max
+    value = integrate(integrand, lo, hi, cfg, points=tuple(pts))
+    if order:
+        value = value * unit ** np.arange(order + 1)
+    return value, g_max
 
 
 def log_mgf_pos(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -177,8 +166,8 @@ def log_mgf_pos(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) 
     _check_exponent(p)
     if t < 0 and p < 1.0:
         raise ValueError("mgf_pos requires t >= 0 for p < 1")
-    log_int, g_max = _log_tilted_integral(t, p, cfg)
-    return math.log(_SQRT_2_OVER_PI) + g_max + log_int
+    value, g_max = _tilted_moments(t, p, cfg, 0)
+    return math.log(_SQRT_2_OVER_PI) + g_max + math.log(value)
 
 
 def mgf_pos(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -239,35 +228,17 @@ def tilted_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUAD
     so optimizer residuals can be checked without finite differences.
     """
     _check_exponent(p)
-    log_num, _ = _log_tilted_integral(t, p, cfg, moment=1)
-    log_den, _ = _log_tilted_integral(t, p, cfg, moment=0)
-    # both integrals share the same factored peak, so it cancels
-    return math.exp(log_num - log_den)
-
-
-def tilted_second_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Mean of |X|^{2p} under the tilted law; gives d/dt of the tilted mean
-    as second_moment - mean^2 (the tilted variance)."""
-    _check_exponent(p)
-    log_num, _ = _log_tilted_integral(t, p, cfg, moment=2)
-    log_den, _ = _log_tilted_integral(t, p, cfg, moment=0)
-    return math.exp(log_num - log_den)
+    (m0, m1), _ = _tilted_moments(t, p, cfg, 1)
+    # both moments share the same factored peak, so it cancels
+    return m1 / m0
 
 
 def indicator_tilted_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """d/dt log mgf_indicator; denominator carries the sqrt(pi/2) mass at 0."""
-    _check_exponent(p)
-    log_num, g_max = _log_tilted_integral(t, p, cfg, moment=1)
-    log_den, _ = _log_tilted_integral(t, p, cfg, moment=0)
-    # denominator: integral e^{g} dx + sqrt(pi/2), peak e^{g_max} factored out
-    den = math.exp(log_den) + _SQRT_PI_OVER_2 * math.exp(-g_max)
-    return math.exp(log_num) / den
+    """d/dt log mgf_indicator = w * d/dt log mgf_pos, w = 1 / (1 + 1/mgf_pos).
 
-
-def indicator_tilted_second_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Companion second moment for the indicator tilt (same denominator)."""
+    The indicator law puts mass 1/2 on S = 0, which the weight w discounts.
+    """
     _check_exponent(p)
-    log_num, g_max = _log_tilted_integral(t, p, cfg, moment=2)
-    log_den, _ = _log_tilted_integral(t, p, cfg, moment=0)
-    den = math.exp(log_den) + _SQRT_PI_OVER_2 * math.exp(-g_max)
-    return math.exp(log_num) / den
+    (m0, m1), g_max = _tilted_moments(t, p, cfg, 1)
+    log_mgf = math.log(_SQRT_2_OVER_PI) + g_max + math.log(m0)
+    return (m1 / m0) / (1.0 + math.exp(-log_mgf))

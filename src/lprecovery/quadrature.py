@@ -120,17 +120,21 @@ _GAUSS_W = np.array(
 
 
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
-    """Apply the G7/K15 pair to each panel; returns (kronrod, err) arrays."""
+    """Apply the G7/K15 pair to each panel; returns (kronrod, err) arrays.
+
+    A vector integrand (k rows per node) gives arrays of shape (k, panels).
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     xs = mid[:, None] + half[:, None] * _NODES[None, :]
-    fs = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+    fs = np.asarray(f(xs.ravel()), dtype=float)
+    fs = fs.reshape(fs.shape[:-1] + xs.shape)
     k = half * (fs @ _KRONROD_W)
     g = half * (fs @ _GAUSS_W)
     # QUADPACK-style error model: rescale |K - G| by the variation of the
     # integrand so the estimate tracks the true Kronrod error.
     mean = k / np.maximum(2.0 * half, 1e-300)
-    resasc = half * (np.abs(fs - mean[:, None]) @ _KRONROD_W)
+    resasc = half * (np.abs(fs - mean[..., None]) @ _KRONROD_W)
     diff = np.abs(k - g)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(resasc > 0.0, np.minimum(1.0, (200.0 * diff / np.maximum(resasc, 1e-300)) ** 1.5), 0.0)
@@ -141,9 +145,12 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
 def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE, points=()):
     """Integrate a vectorized callable ``f`` over [a, b].
 
-    ``points`` lists interior break points (peaks, decay scales) that seed
-    the initial panel layout.  Raises :class:`QuadratureError` if the
-    tolerance is not met within ``cfg.max_subdivisions`` panels.
+    ``f`` maps N nodes to N values (the integral is a float) or to a (k, N)
+    array (the integral is a length-k array, every row held to the
+    tolerance).  ``points`` lists interior break points (peaks, decay
+    scales) that seed the initial panel layout.  Raises
+    :class:`QuadratureError` if the tolerance is not met within
+    ``cfg.max_subdivisions`` panels.
     """
     if not b > a:
         if b == a:
@@ -158,23 +165,38 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     lo = np.array(edges[:-1], dtype=float)
     hi = np.array(edges[1:], dtype=float)
     vals, errs = _panel_rule(f, lo, hi)
+    rows = vals.ndim == 2
 
     while True:
-        total = float(vals.sum())
-        err_total = float(errs.sum())
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err_total <= target:
+        total = vals.sum(axis=-1)
+        err_total = errs.sum(axis=-1)
+        if rows:
+            target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+            converged = bool(np.all(err_total <= target))
+        else:
+            # plain floats: numpy scalar arithmetic would dominate short integrals
+            total, err_total = float(total), float(err_total)
+            target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            converged = err_total <= target
+        if converged:
             return total
         if len(lo) >= cfg.max_subdivisions:
-            raise QuadratureError("quadrature did not converge", total, err_total)
-        # Split every panel carrying more than its share of the budget.
-        split = errs > 0.5 * target / max(len(lo), 1)
+            if rows:
+                worst = np.argmax(err_total / target)
+                total, err_total = total[worst], err_total[worst]
+            raise QuadratureError("quadrature did not converge", float(total), float(err_total))
+        # Split every panel carrying more than its share of some row's budget.
+        share = 0.5 * target / max(len(lo), 1)
+        split = errs > (share[:, None] if rows else share)
         if not split.any():
-            split = errs == errs.max()
+            split = errs == errs.max(axis=-1, keepdims=True)
+        if rows:
+            split = split.any(axis=0)
+        keep = ~split
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
+        new_lo = np.concatenate([lo[keep], lo[split], mid])
+        new_hi = np.concatenate([hi[keep], mid, hi[split]])
         new_vals, new_errs = _panel_rule(f, np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]]))
-        vals = np.concatenate([vals[~split], new_vals])
-        errs = np.concatenate([errs[~split], new_errs])
+        vals = np.concatenate([vals.compress(keep, axis=-1), new_vals], axis=-1)
+        errs = np.concatenate([errs.compress(keep, axis=-1), new_errs], axis=-1)
         lo, hi = new_lo, new_hi

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from lprecovery import bounds as B
-from lprecovery.gaussian import abs_moment, indicator_tilted_moment_ratio, tilted_moment_ratio
+from lprecovery.gaussian import (
+    abs_moment,
+    indicator_tilted_moment_ratio,
+    log_mgf_indicator,
+    log_mgf_pos,
+    mgf_neg,
+    tilted_moment_ratio,
+)
 
 # independent dense-grid oracle values, frozen
 ORACLE_CHERNOFF_A2_P1 = -1.3315950132601602
@@ -224,3 +231,84 @@ def test_config_validation():
         B.strong_bound(1.2, 0.5)
     with pytest.raises(ValueError):
         B.weak_bound(0.9, 0.0)
+
+
+def _tilt_family(family):
+    if family == "upper":
+        return B.chernoff_upper_exponent, log_mgf_pos, tilted_moment_ratio, 1.0
+    return B.chernoff_indicator_exponent, log_mgf_indicator, indicator_tilted_moment_ratio, 0.5
+
+
+@pytest.mark.parametrize("family", ["upper", "indicator"])
+@pytest.mark.parametrize("p,top", [(1.0, 60.0), (0.5, 10.0), (0.3, 4.0)])
+def test_tilt_solve_is_stationary_exact_and_hint_free(family, p, top):
+    solve, log_mgf, mean, mass = _tilt_family(family)
+    mu = mass * abs_moment(p)
+    t_tol = B.ExponentSearchConfig().t_tol
+    # from just above the mean up to a coefficient ``top`` whose tilt peak
+    # lies beyond 50, on the kernel's shifted-coordinate branch
+    for a in (mu * (1.0 + 1e-6), mu * 1.5, 3.0, top):
+        t_opt, value = solve(a, p)
+        assert abs(mean(t_opt, p) - a) <= 1e-9 * max(1.0, a)
+        assert value == log_mgf(t_opt, p) - a * t_opt
+        # a warm start far from the root on either side lands on the same tilt
+        for hint in (t_opt * 1e4, t_opt * 1e-4):
+            t_warm, _ = solve(a, p, _hint=hint)
+            assert t_warm == pytest.approx(t_opt, abs=2 * t_tol, rel=1e-14)
+        with pytest.raises(B.UnboundedSearchError):
+            solve(a, p, B.ExponentSearchConfig(t_max=0.5 * t_opt))
+    assert (p * t_opt) ** (1.0 / (2.0 - p)) > 50.0
+
+
+def _net(alpha, gamma):
+    return (1.0 - alpha) * math.log1p(2.0 / gamma)
+
+
+def _record_config(alpha):
+    base = B.ExponentSearchConfig.default(alpha, gamma_points=6, epsilon_points=4)
+    return B.ExponentSearchConfig(gamma_grid=base.gamma_grid, epsilon_grid=base.epsilon_grid, a_tol=1e-3)
+
+
+def test_every_bound_stage_rebuilds_from_its_record():
+    alpha, p = 0.9, 0.5
+    cfg = _record_config(alpha)
+
+    strong = B.strong_bound(alpha, p, cfg).to_record(cfg)
+    d = strong["detail"]
+    gamma = d["lambda_max_gamma"]
+    a, t = strong["lambda_max"] * (1.0 - gamma**p), d["lambda_max_t"]
+    exponent = _net(alpha, gamma) + log_mgf_pos(t, p) - a * t
+    assert exponent == pytest.approx(d["lambda_max_margin"], abs=1e-12)
+    gamma = d["lambda_min_gamma"]
+    b = gamma ** (p * (1.0 - alpha + strong["winning_epsilon"]))
+    exponent = _net(alpha, gamma) + math.log(mgf_neg(1.0 / b, p)) + 1.0
+    assert exponent == pytest.approx(d["lambda_min_margin"], abs=1e-12)
+    gamma, rho = strong["winning_gamma"], strong["rho_bound"]
+    a, t = 0.5 * strong["lambda_min"] * (1.0 - gamma**p) / rho, d["rho_stage_t"]
+    exponent = B.binary_entropy(rho) * math.log(2.0) + _net(alpha, gamma) + rho * (log_mgf_pos(t, p) - a * t)
+    assert exponent == pytest.approx(d["rho_stage_margin"], abs=1e-12)
+
+    weak = B.weak_bound(alpha, p, cfg).to_record(cfg)
+    d, rho = weak["detail"], weak["rho_bound"]
+    margins = []
+    a, t = d["lambda_tilde_a"], d["lambda_tilde_t"]
+    exponent = _net(alpha, weak["winning_gamma"]) + rho * (log_mgf_indicator(t, p) - a * t)
+    assert exponent == pytest.approx(d["lambda_tilde_margin"], abs=1e-12)
+    assert d["lambda_tilde_max"] == a / (1.0 - weak["winning_gamma"] ** p)
+    margins.append(exponent)
+    alpha_prime = d["alpha_prime"]
+    assert alpha_prime == (alpha - rho) / (1.0 - rho)
+    gamma, a, t = (d[f"lambda_max_alpha_prime_{key}"] for key in ("gamma", "a", "t"))
+    exponent = _net(alpha_prime, gamma) + log_mgf_pos(t, p) - a * t
+    assert exponent == pytest.approx(d["lambda_max_alpha_prime_margin"], abs=1e-12)
+    assert d["lambda_max_alpha_prime"] == a / (1.0 - gamma**p)
+    margins.append(exponent)
+    gamma, eps, t = (d[f"lambda_min_alpha_prime_{key}"] for key in ("gamma", "epsilon", "t"))
+    b = gamma ** (p * (1.0 - alpha_prime + eps))
+    assert t == 1.0 / b
+    exponent = _net(alpha_prime, gamma) + math.log(mgf_neg(t, p)) + 1.0
+    assert exponent == pytest.approx(d["lambda_min_alpha_prime_margin"], abs=1e-12)
+    assert d["lambda_min_alpha_prime"] == pytest.approx(b - gamma**p * d["lambda_max_alpha_prime"], abs=1e-12)
+    margins.append(exponent)
+    assert max(margins) == pytest.approx(weak["exponent_margin"], abs=1e-12)
+    assert max(margins) < 0.0

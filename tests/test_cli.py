@@ -166,3 +166,21 @@ def test_help_screens_exist(capsys):
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
         assert "Usage" in out or "usage" in out
+
+
+def test_weak_probe_rejects_budget_seed(tmp_path, capsys):
+    spec = {
+        "n": 40, "codim": 3, "p": 0.5, "rho_list": [0.2], "trials": 1, "seed": 5,
+        "budget": {"sphere_samples": 4, "refine_steps": 2},
+    }
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "experiment", "weak-probe", "--spec", str(path))
+    assert code == 0
+    assert json.loads(out)["spec"]["seed"] == 5
+    spec["budget"]["seed"] = 2
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "experiment", "weak-probe", "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert "--spec" in err and "budget.seed" in err and "top-level seed" in err

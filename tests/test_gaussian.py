@@ -149,3 +149,14 @@ def test_quadrature_error_carries_diagnostics():
     tiny = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=2)
     with pytest.raises(QuadratureError):
         g.abs_moment(0.37, tiny)
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 60.0, 200.0])
+def test_p_one_tilt_against_closed_form(t):
+    # at p = 1: E e^{t|X|} = 2 e^{t^2/2} Phi(t), and its log-derivative is
+    # t + phi(t) / Phi(t); t = 60 and 200 put the peak on the shifted branch
+    from scipy.special import log_ndtr
+
+    assert g.log_mgf_pos(t, 1.0) == pytest.approx(math.log(2.0) + 0.5 * t * t + log_ndtr(t), rel=1e-15, abs=1e-12)
+    mills = math.exp(-0.5 * t * t - log_ndtr(t)) / math.sqrt(2.0 * math.pi)
+    assert g.tilted_moment_ratio(t, 1.0) == pytest.approx(t + mills, abs=1e-10)

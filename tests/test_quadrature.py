@@ -56,3 +56,30 @@ def test_config_validation():
 def test_duplicate_break_points_are_harmless():
     got = integrate(lambda x: np.ones_like(x), 0.0, 1.0, points=(0.5, 0.5, 0.5 + 1e-17))
     assert got == pytest.approx(1.0, rel=1e-12)
+
+
+def test_vector_integrand_matches_rowwise_scalar_integrals():
+    rows = (
+        lambda x: np.exp(-0.5 * x * x),
+        lambda x: np.sqrt(x) * np.exp(-0.5 * x * x),
+        lambda x: x**3 * np.exp(-0.5 * x * x),
+    )
+    got = integrate(lambda x: np.stack([f(x) for f in rows]), 0.0, 12.0, points=(0.25, 1.0, 4.0))
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    for value, f in zip(got, rows):
+        want = integrate(f, 0.0, 12.0, points=(0.25, 1.0, 4.0))
+        assert value == pytest.approx(want, rel=DEFAULT_QUADRATURE.rel_tol)
+    scalar = integrate(rows[0], 0.0, 12.0)
+    assert type(scalar) is float
+
+
+def test_vector_integrand_holds_every_row_to_the_tolerance():
+    # the smooth row alone converges on the initial panel; the cusp row
+    # forces refinement, and its value must still meet the tolerance
+    f = lambda x: np.stack([np.ones_like(x), np.sqrt(x)])
+    flat, cusp = integrate(f, 0.0, 1.0)
+    assert flat == pytest.approx(1.0, rel=1e-12)
+    assert cusp == pytest.approx(2.0 / 3.0, rel=1e-9)
+    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2)
+    with pytest.raises(QuadratureError):
+        integrate(f, 0.0, 1.0, cfg)
