@@ -231,7 +231,7 @@ def chernoff_upper_exponent(
     minimum and the minimum value is strictly negative.  ``_hint`` is a
     warm-start tilt, typically the minimizer at a nearby coefficient.
     """
-    mu = abs_moment(p, quad)
+    mu = abs_moment(p)
     if not a > mu:
         raise ValueError(f"need a > E[|X|^p] = {mu:.6f}, got a = {a}")
     return _chernoff_exponent(
@@ -251,7 +251,7 @@ def chernoff_indicator_exponent(
     S is the Bernoulli(1/2) sign-mismatch indicator, so the moment condition
     is a_tilde > E[|X|^p] / 2.
     """
-    mu_half = 0.5 * abs_moment(p, quad)
+    mu_half = 0.5 * abs_moment(p)
     if not a_tilde > mu_half:
         raise ValueError(f"need a_tilde > E[|X|^p S] = {mu_half:.6f}, got {a_tilde}")
     return _chernoff_exponent(
@@ -306,7 +306,7 @@ def _smallest_feasible_coefficient(exponent_at, lo_start: float, a_tol: float):
 
 def _lambda_max_detail(alpha: float, p: float, cfg: ExponentSearchConfig, quad: QuadratureConfig) -> dict:
     _validate_alpha_p(alpha, p)
-    mu = abs_moment(p, quad)
+    mu = abs_moment(p)
     best = None
     for gamma in cfg.gamma_grid:
         shrink = 1.0 - gamma**p
@@ -404,7 +404,7 @@ def strong_bound(
     cfg = cfg or ExponentSearchConfig.default(alpha)
     lam_max = _lambda_max_detail(alpha, p, cfg, quad)
     lam_min = _lambda_min_detail(alpha, p, cfg, quad, lam_max["value"])
-    mu = abs_moment(p, quad)
+    mu = abs_moment(p)
     ln2 = math.log(2.0)
     best = None
     for gamma in cfg.gamma_grid:
@@ -482,7 +482,7 @@ def _lambda_tilde_detail(
     _validate_alpha_p(alpha, p)
     if not 0.0 < rho < alpha:
         raise ValueError(f"need 0 < rho < alpha, got rho={rho}, alpha={alpha}")
-    mu_half = 0.5 * abs_moment(p, quad)
+    mu_half = 0.5 * abs_moment(p)
     best = None
     for gamma in cfg.gamma_grid:
         shrink = 1.0 - gamma**p

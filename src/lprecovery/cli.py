@@ -98,7 +98,6 @@ def strong_limit(p: float, output, fmt) -> None:
             "value": result.rho_star,
             "z_star": result.z_star,
             "derivative": result.derivative,
-            "solver_iters": result.solver_iters,
             "residual": result.residual,
         }
     _emit(payload, output, fmt)
@@ -246,7 +245,7 @@ def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, re
     if mode == "strong":
         if rho is None:
             raise click.UsageError("strong mode needs --rho")
-        spec = int(rho * n)
+        spec = int(round(rho * n))
     elif mode == "sectional":
         if support is None:
             raise click.UsageError("sectional mode needs --support")

@@ -425,7 +425,7 @@ def _probe_trial(n, codim, p, rho, ri, trial, budget, seed):
         seed=trial_seed.child(1),
     )
     verdict = certify(B, mode, p, pattern, trial_budget)
-    return {"trial": trial, "seed": trial_seed.seed, "falsified": not verdict.holds}
+    return {"trial": trial, "seed": trial_seed.seed, "falsified": not verdict.holds, "witness": verdict.witness}
 
 
 def run_weak_threshold_probe(

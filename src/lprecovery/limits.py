@@ -5,10 +5,15 @@ the upper truncated moment of |X| equals half the full moment:
 
     integral_{z*}^inf x^p f(x) dx = E[|X|^p] / 2,
 
-giving rho*(p) = 1 - F(z*).  The truncated moment is continuous and
-strictly decreasing in the cut, so z* is unique; a bracketing bisection
-followed by a Newton polish (the derivative of the truncated moment is
--z^p f(z)) recovers it to full precision.
+giving rho*(p) = 1 - F(z*).  Substituting u = x^2/2 turns the truncated
+moment into E[|X|^p] Q((p+1)/2, z^2/2), with Q the regularized upper
+incomplete gamma function, so z*^2/2 is the median of a Gamma((p+1)/2)
+variable:
+
+    z* = sqrt(2 gammaincinv((p+1)/2, 1/2)),   rho*(p) = erfc(z* / sqrt(2)).
+
+One quadrature of the truncated moment re-checks the closed form; its
+residual travels with the threshold.
 
 The weak and sectional limits are constants (2/3 below p = 1, 1 at p = 1;
 1/2 for all p) and are exposed as functions only for a uniform surface.
@@ -20,8 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma, gammaincinv
 
-from .gaussian import _SQRT_2_OVER_PI, abs_moment, half_normal_cdf, half_normal_pdf
+from .gaussian import _SQRT_2_OVER_PI, abs_moment
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 
 __all__ = [
@@ -33,19 +39,17 @@ __all__ = [
     "sectional_limit_threshold",
 ]
 
-_BISECT_WIDTH = 1e-12
 _RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class LimitThreshold:
-    """Strong limiting threshold with solver provenance."""
+    """Strong limiting threshold with the quadrature residual of its split point."""
 
     p: float
     z_star: float
     rho_star: float
     derivative: float
-    solver_iters: int
     residual: float
 
 
@@ -62,33 +66,14 @@ def _upper_truncated_moment(z: float, p: float, cfg: QuadratureConfig) -> float:
 
 
 def _solve_z_star(p: float, cfg: QuadratureConfig):
+    """Closed-form split point and the quadrature residual that re-checks it."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    mu = abs_moment(p, cfg)
-    target = 0.5 * mu
-    lo, hi = 0.0, cfg.tail_cutoff_sigma
-    g_lo = mu - target  # g(0) - target = mu/2 > 0
-    g_hi = _upper_truncated_moment(hi, p, cfg) - target
-    if not (g_lo > 0 > g_hi):
-        raise RuntimeError("half-moment split not bracketed; quadrature misconfigured")
-    iters = 0
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if _upper_truncated_moment(mid, p, cfg) - target > 0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    z = 0.5 * (lo + hi)
-    # Newton polish: d/dz integral_z^inf x^p f = -z^p f(z)
-    for _ in range(3):
-        res = _upper_truncated_moment(z, p, cfg) - target
-        z -= res / (z**p * half_normal_pdf(z))
-        iters += 1
-    residual = abs(mu - 2.0 * _upper_truncated_moment(z, p, cfg))
+    z = math.sqrt(2.0 * gammaincinv(0.5 * (p + 1.0), 0.5))
+    residual = abs(abs_moment(p) - 2.0 * _upper_truncated_moment(z, p, cfg))
     if residual > _RESIDUAL_TOL:
         raise RuntimeError(f"split-point residual {residual:.2e} above {_RESIDUAL_TOL}")
-    return z, iters, residual
+    return z, residual
 
 
 def solve_z_star(p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -96,40 +81,36 @@ def solve_z_star(p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     return _solve_z_star(p, cfg)[0]
 
 
-def strong_threshold_derivative(p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Closed-form d(rho*)/dp; strictly negative on (0, 1].
+def _threshold_derivative(z: float, p: float, cfg: QuadratureConfig) -> float:
+    """d(rho*)/dp at split point z: (full - 2 upper) / (2 z^p).
 
-    The log factor is integrable at zero but slow for adaptive rules, so
-    [0, 1e-3] is handled with the substitution x = e^u.
+    full = integral_0^inf x^p log(x) f = d E[|X|^p] / dp has the closed form
+    E[|X|^p] (log 2 + psi((p+1)/2)) / 2; upper is the same integral over
+    [z, U], by quadrature.
     """
-    z = solve_z_star(p, cfg)
     upper = cfg.tail_cutoff_sigma
 
     def integrand(x):
         return np.power(x, p) * np.log(x) * _SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
 
-    cut = 1e-3
-
-    def integrand_log(u):
-        x = np.exp(u)
-        return np.power(x, p + 1.0) * u * _SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
-
-    head = integrate(integrand_log, -60.0, math.log(cut), cfg)
-    lower_part = head + integrate(integrand, cut, z, cfg)
+    full = abs_moment(p) * 0.5 * (math.log(2.0) + float(digamma(0.5 * (p + 1.0))))
     upper_part = integrate(integrand, z, upper, cfg, points=(min(z + 1.0, upper * 0.999),))
-    return (lower_part - upper_part) / (2.0 * z**p)
+    return (full - 2.0 * upper_part) / (2.0 * z**p)
+
+
+def strong_threshold_derivative(p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """Closed-form d(rho*)/dp; strictly negative on (0, 1]."""
+    return _threshold_derivative(solve_z_star(p, cfg), p, cfg)
 
 
 def strong_limit_threshold(p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> LimitThreshold:
-    """Strong limiting threshold rho*(p) = 1 - F(z*(p))."""
-    z, iters, residual = _solve_z_star(p, cfg)
-    rho = 1.0 - half_normal_cdf(z)
+    """Strong limiting threshold rho*(p) = 1 - F(z*(p)) = erfc(z*(p) / sqrt(2))."""
+    z, residual = _solve_z_star(p, cfg)
     return LimitThreshold(
         p=p,
         z_star=z,
-        rho_star=rho,
-        derivative=strong_threshold_derivative(p, cfg),
-        solver_iters=iters,
+        rho_star=math.erfc(z / math.sqrt(2.0)),
+        derivative=_threshold_derivative(z, p, cfg),
         residual=residual,
     )
 

@@ -71,6 +71,24 @@ def test_certify_from_measurement_matrix(tmp_path, capsys):
     assert payload["holds"] is False and payload["certificate_exact"] is True
 
 
+def test_certify_strong_rounds_rho_times_rows(tmp_path, capsys, monkeypatch):
+    # 0.29 * 100 = 28.999999999999996 in floating point; the sparsity is 29
+    from lprecovery import conditions
+
+    seen = {}
+
+    def fake_certify(B, mode, p, spec, budget):
+        seen["spec"] = spec
+        return conditions.ConditionVerdict(mode=mode, holds=True, certificate_exact=False)
+
+    monkeypatch.setattr(conditions, "certify", fake_certify)
+    path = tmp_path / "B.csv"
+    la.write_matrix_csv(path, la.sample_gaussian_matrix(100, 3, 5))
+    code, _, _ = run_cli(capsys, "certify", "--matrix", str(path), "--mode", "strong", "--p", "1", "--rho", "0.29")
+    assert code == 0
+    assert seen["spec"] == 29
+
+
 def test_solve_job_file(tmp_path, capsys):
     A = la.sample_gaussian_matrix(10, 20, 21)
     x = np.zeros(20)

@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lprecovery import experiments as ex
-from lprecovery.conditions import SearchBudget
-from lprecovery.linalg import RngSeed
+from lprecovery.conditions import SearchBudget, SupportPattern, weak_condition_holds_for
+from lprecovery.linalg import RngSeed, sample_gaussian_matrix
 
 
 @pytest.mark.parametrize("k", list(range(2, 17)))
@@ -92,6 +93,27 @@ def test_weak_probe_two_sided():
     assert below["success_rate"] == 1.0 - below["falsification_frequency"]
     with pytest.raises(ValueError):
         ex.run_weak_threshold_probe(n=100, codim=20, p=0.5, rho_list=(0.5,), trials=2)
+
+
+def test_weak_probe_records_reverify_from_witness():
+    budget = SearchBudget(sphere_samples=128, refine_steps=60)
+    n, codim, p, rho = 200, 4, 0.5, 0.85
+    report = ex.run_weak_threshold_probe(
+        n=n, codim=codim, p=p, rho_list=(rho,), trials=4, budget=budget, seed=RngSeed(11)
+    )
+    records = report.points[0]["records"]
+    falsified = [r for r in records if r["falsified"]]
+    assert falsified
+    pattern = SupportPattern.nonnegative(max(1, int(round(rho * n))))
+    for record in records:
+        if not record["falsified"]:
+            assert record["witness"] is None
+            continue
+        B = sample_gaussian_matrix(n, codim, RngSeed(record["seed"]))
+        holds, lhs, rhs = weak_condition_holds_for(B, np.array(record["witness"]["z"]), p, pattern)
+        assert not holds
+        assert lhs == pytest.approx(record["witness"]["lhs"], rel=1e-12)
+        assert rhs == pytest.approx(record["witness"]["rhs"], rel=1e-12)
 
 
 def test_concentration_trivial_full_fraction():

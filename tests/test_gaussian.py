@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lprecovery import gaussian as g
-from lprecovery.quadrature import QuadratureError, QuadratureConfig
+from lprecovery.quadrature import QuadratureConfig, QuadratureError, integrate
 
 # oracle values, 30-digit arithmetic, frozen
 MU_HALF = 0.82217895866245855  # 2^{1/4} Gamma(3/4) / sqrt(pi)
@@ -54,6 +54,13 @@ def test_abs_moment_examples():
 def test_abs_moment_matches_gamma_closed_form(p):
     closed = 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
     assert g.abs_moment(p) == pytest.approx(closed, rel=1e-10)
+
+    # quadrature as the independent oracle, with panels laid toward the cusp at 0
+    def integrand(x):
+        return np.power(x, p) * g._SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
+
+    points = tuple(g._origin_ladder(1.0) + [2.0, 4.0])
+    assert g.abs_moment(p) == pytest.approx(integrate(integrand, 0.0, 12.0, points=points), rel=1e-13)
 
 
 def test_mgf_pos_examples():
@@ -147,8 +154,14 @@ def test_extreme_tilts_stay_finite():
 
 def test_quadrature_error_carries_diagnostics():
     tiny = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=2)
-    with pytest.raises(QuadratureError):
-        g.abs_moment(0.37, tiny)
+
+    def integrand(x):
+        return np.power(x, 0.37) * g._SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
+
+    with pytest.raises(QuadratureError) as info:
+        integrate(integrand, 0.0, 12.0, tiny)
+    assert math.isfinite(info.value.value)
+    assert info.value.error_estimate > 0.0
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0, 60.0, 200.0])

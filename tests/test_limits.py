@@ -1,4 +1,4 @@
-"""Limiting-threshold solver against analytic and high-precision values."""
+"""Limiting thresholds against analytic, high-precision and quadrature values."""
 
 import math
 
@@ -33,7 +33,6 @@ def test_threshold_record_invariants():
     result = limits.strong_limit_threshold(0.7)
     assert result.rho_star == pytest.approx(1.0 - math.erf(result.z_star / math.sqrt(2.0)), abs=1e-14)
     assert result.residual <= 1e-10
-    assert result.solver_iters > 0
     assert 0.239 < result.rho_star < 0.5
 
 
@@ -49,6 +48,38 @@ def test_split_point_halves_the_moment(p):
     upper = integrate(integrand, z, 12.0)
     assert lower == pytest.approx(mu / 2, abs=1e-9)
     assert upper == pytest.approx(mu / 2, abs=1e-9)
+
+
+CLOSED_FORM_PS = [1e-3, 0.01, 0.3, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("p", CLOSED_FORM_PS)
+def test_closed_form_split_point_passes_quadrature_recheck(p):
+    assert limits.strong_limit_threshold(p).residual <= 1e-13
+
+
+def quadrature_derivative(p):
+    """d(rho*)/dp from three quadratures: (lower - upper) / (2 z^p) with
+    lower and upper the integrals of x^p log(x) f below and above z*; the
+    log factor on [0, 1e-3] is integrated in u = log x."""
+    z = limits.solve_z_star(p)
+
+    def integrand(x):
+        return np.power(x, p) * np.log(x) * _SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
+
+    def integrand_log(u):
+        x = np.exp(u)
+        return np.power(x, p + 1.0) * u * _SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
+
+    cut = 1e-3
+    lower = integrate(integrand_log, -60.0, math.log(cut)) + integrate(integrand, cut, z)
+    upper = integrate(integrand, z, 12.0, points=(z + 1.0,))
+    return (lower - upper) / (2.0 * z**p)
+
+
+@pytest.mark.parametrize("p", CLOSED_FORM_PS)
+def test_derivative_matches_quadrature_oracle(p):
+    assert limits.strong_threshold_derivative(p) == pytest.approx(quadrature_derivative(p), abs=1e-11)
 
 
 def test_derivative_closed_form_values():
