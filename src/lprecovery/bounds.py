@@ -24,12 +24,16 @@ for the covering-number term of a gamma-net on the unit sphere:
   E e^{t|X|^p S} and the fixed-point inequality
       rho * lt_max(alpha, p, rho) <= (1-rho) * lambda_min((alpha-rho)/(1-rho), p).
 
-All inner minimizations over t are convex, so the minimizer is the root of
-the stationarity equation: the tilted mean d/dt log E e^{t|X|^p} equals the
-linear-term coefficient.  It is bracketed geometrically from a warm start
-(the minimizer at the previous bisection step) and solved by brentq; the
-returned exponent is the objective evaluated exactly at that tilt, which
-bounds the minimum from above, so search precision only affects tightness.
+Every stage is parametrized by the tilt t.  Along the Legendre curve
+a = Lambda'(t) the inner minimum min_s [ Lambda(s) - a s ] is -I(t), with
+I(t) = t Lambda'(t) - Lambda(t) increasing from I(0) = 0, so the smallest
+feasible coefficient of a lambda stage is the root of I(t) = net / scale,
+and the strong sparsity ratio rho(t) = h / Lambda'(t) turns the rho stage
+into a root in t as well.  Each root is bracketed geometrically from a warm
+start (the root at the previous gamma) and solved by brentq.  The winning
+coefficient is re-certified by a public tilt solve, whose exponent is the
+objective evaluated exactly at the returned tilt; that bounds the minimum
+from above, so search precision only affects tightness.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ __all__ = [
     "weak_bound",
 ]
 
-_A_CAP = 1e6
+# Each coefficient stage stops a relative _SLACK past its exact boundary, so
+# its margin is about -_SLACK * scale * a * t*; since t Lambda'(t) >= Lambda(t),
+# that is at least 1000x the default quadrature rel_tol (1e-10) on Lambda.
+_SLACK = 1e-7
 
 
 class BoundSearchError(RuntimeError):
@@ -76,7 +83,7 @@ class BoundSearchError(RuntimeError):
 
 
 class UnboundedSearchError(BoundSearchError):
-    """No tilt coefficient below the safety cap made the exponent negative."""
+    """A tilt root lies beyond ``t_max``."""
 
 
 class InfeasibleBoundError(BoundSearchError):
@@ -94,10 +101,10 @@ class ExponentSearchConfig:
     ``t_max`` caps the tilt t; a stationarity root beyond it raises
     :class:`UnboundedSearchError`.  ``t_tol`` is the widest final bracket
     on the tilt root: the returned t lies within ``t_tol`` of the point
-    where the tilted mean equals the coefficient.  ``a_tol`` is the
-    bisection tolerance on coefficients and sparsity ratios, and
-    ``rho_grid_resolution`` sets the smallest sparsity fraction probed when
-    bracketing (range / resolution).
+    where the tilted mean equals the coefficient.  ``a_tol`` and
+    ``rho_grid_resolution`` serve only ``weak_bound``'s bisection on rho:
+    its tolerance, and the smallest sparsity fraction probed when
+    bracketing (alpha / resolution).
     """
 
     gamma_grid: tuple = field(default_factory=tuple)
@@ -174,18 +181,17 @@ def binary_entropy(rho: float) -> float:
     return -rho * math.log2(rho) - (1.0 - rho) * math.log2(1.0 - rho)
 
 
-def _solve_tilt(mean_fn, a: float, t_max: float, t_tol: float, hint: float) -> float:
-    """Root of the tilted mean, mean_fn(t) = a, on (0, t_max].
+def _solve_tilt(fn, target: float, t_max: float, t_tol: float, hint: float) -> float:
+    """Root of fn(t) = target on (0, t_max] for any increasing fn below target at 0+.
 
-    The tilted mean is increasing in t and starts below a at t = 0, so a
-    bracket grown by factors of 4 from ``hint`` (a warm start, or a cold
+    A bracket grown by factors of 4 from ``hint`` (a warm start, or a cold
     guess) holds the root; brentq then narrows it to at most ``t_tol``.
     """
     known = {}
 
     def excess(t):
         if t not in known:
-            known[t] = mean_fn(t) - a
+            known[t] = fn(t) - target
         return known[t]
 
     lo = hi = min(hint, t_max)
@@ -275,56 +281,48 @@ def _validate_alpha_p(alpha: float, p: float) -> None:
         raise ValueError(f"p must lie in (0, 1], got {p}")
 
 
-def _smallest_feasible_coefficient(exponent_at, lo_start: float, a_tol: float):
-    """Bisect for the smallest coefficient making ``exponent_at`` negative.
+def _family(name: str):
+    """(log-MGF, tilted mean, public tilt solve, moment mass) of a tilt family."""
+    if name == "upper":
+        return log_mgf_pos, tilted_moment_ratio, chernoff_upper_exponent, 1.0
+    return log_mgf_indicator, indicator_tilted_moment_ratio, chernoff_indicator_exponent, 0.5
 
-    ``exponent_at(a)`` must be continuous and decreasing.  Returns
-    (a, exponent(a), t_opt(a)) with the exponent strictly negative at a.
+
+def _coefficient_stage(family: str, net: float, scale: float, p: float, cfg, quad, hint: float):
+    """Smallest a with net + scale * min_t [ Lambda(t) - a t ] < 0 -> (a, t*).
+
+    The exponent at a = Lambda'(t) is net - scale * I(t), so the boundary is
+    the root I(t*) = net / scale and a steps a relative _SLACK past it.
     """
-    lo = lo_start  # infinitesimally above the moment: exponent > 0 there
-    hi = max(2.0 * lo_start, 1.0)
-    hint = None
-    while True:
-        val, t_opt = exponent_at(hi, hint)
-        hint = t_opt
-        if val < 0.0:
-            break
-        hi *= 2.0
-        if hi > _A_CAP:
-            raise UnboundedSearchError(f"no coefficient below {_A_CAP:g} made the exponent negative")
-    val_hi, t_hi = val, t_opt
-    while hi - lo > a_tol:
-        mid = 0.5 * (lo + hi)
-        val, t_opt = exponent_at(mid, hint)
-        hint = t_opt
-        if val < 0.0:
-            hi, val_hi, t_hi = mid, val, t_opt
-        else:
-            lo = mid
-    return hi, val_hi, t_hi
+    log_mgf, mean, _, _ = _family(family)
+    t_star = _solve_tilt(
+        lambda t: t * mean(t, p, quad) - log_mgf(t, p, quad), net / scale, cfg.t_max, cfg.t_tol, hint
+    )
+    return mean(t_star, p, quad) * (1.0 + _SLACK), t_star
+
+
+def _coefficient_detail(family: str, alpha: float, p: float, scale: float, cfg, quad) -> dict:
+    """Best a / (1 - gamma^p) over the gamma grid, warm-starting each gamma's tilt."""
+    _validate_alpha_p(alpha, p)
+    _, _, solve, mass = _family(family)
+    mass *= abs_moment(p)
+    best, hint = None, 1.0
+    for gamma in cfg.gamma_grid:
+        shrink = 1.0 - gamma**p
+        if best is not None and mass / shrink >= best["value"]:
+            continue  # a > mass always, so this gamma cannot win
+        a, hint = _coefficient_stage(family, _net_term(alpha, gamma), scale, p, cfg, quad, hint)
+        if best is None or a / shrink < best["value"]:
+            best = {"value": a / shrink, "gamma": gamma, "a": a, "t_opt": hint}
+    if best is None:
+        raise InfeasibleBoundError("empty gamma grid")
+    t_opt, val = solve(best["a"], p, cfg, quad, _hint=best["t_opt"])
+    best.update(t_opt=t_opt, margin=_net_term(alpha, best["gamma"]) + scale * val)
+    return best
 
 
 def _lambda_max_detail(alpha: float, p: float, cfg: ExponentSearchConfig, quad: QuadratureConfig) -> dict:
-    _validate_alpha_p(alpha, p)
-    mu = abs_moment(p)
-    best = None
-    for gamma in cfg.gamma_grid:
-        shrink = 1.0 - gamma**p
-        if best is not None and mu / shrink >= best["value"]:
-            continue  # a > mu always, so this gamma cannot win
-        net = _net_term(alpha, gamma)
-
-        def exponent_at(a, hint):
-            t_opt, val = chernoff_upper_exponent(a, p, cfg, quad, _hint=hint)
-            return net + val, t_opt
-
-        a, margin, t_opt = _smallest_feasible_coefficient(exponent_at, mu * (1.0 + 1e-9), cfg.a_tol)
-        candidate = a / shrink
-        if best is None or candidate < best["value"]:
-            best = {"value": candidate, "gamma": gamma, "a": a, "margin": margin, "t_opt": t_opt}
-    if best is None:
-        raise InfeasibleBoundError("empty gamma grid")
-    return best
+    return _coefficient_detail("upper", alpha, p, 1.0, cfg, quad)
 
 
 def compute_lambda_max(
@@ -406,54 +404,31 @@ def strong_bound(
     lam_min = _lambda_min_detail(alpha, p, cfg, quad, lam_max["value"])
     mu = abs_moment(p)
     ln2 = math.log(2.0)
-    best = None
+    best, hint = None, 1.0
     for gamma in cfg.gamma_grid:
-        shrink = 1.0 - gamma**p
-        half_mass = 0.5 * lam_min["value"] * shrink
-        rho_cap = half_mass / mu  # keeps the inner minimizer strictly positive
-        if best is not None and rho_cap <= best["rho"]:
-            continue
+        h = 0.5 * lam_min["value"] * (1.0 - gamma**p)
+        if best is not None and h / mu <= best["rho"]:
+            continue  # rho(t) = h / Lambda'(t) stays below h / mu
         net = _net_term(alpha, gamma)
-        hint = None
 
-        def exponent_at(rho):
-            nonlocal hint
-            t_opt, val = chernoff_upper_exponent(half_mass / rho, p, cfg, quad, _hint=hint)
-            hint = t_opt
-            return binary_entropy(rho) * ln2 + net + rho * val
+        def gain(t):
+            # net minus the stage exponent at rho(t); increasing in t, since
+            # rho(t) falls and the exponent grows with rho below 1/2
+            rho = h / tilted_moment_ratio(t, p, quad)
+            return h * t - rho * log_mgf_pos(t, p, quad) - binary_entropy(rho) * ln2
 
-        hi = rho_cap * (1.0 - 1e-9)
-        rho_floor = rho_cap / cfg.rho_grid_resolution
-        lo = None
-        probe = rho_cap / 2.0
         try:
-            while probe >= rho_floor:
-                e = exponent_at(probe)
-                if e < 0.0:
-                    lo, margin, t_margin = probe, e, hint
-                    break
-                probe /= 2.0
-            if lo is None:
-                continue  # no feasible sparsity at this gamma
-            e_hi = exponent_at(hi)
-            if e_hi < 0.0:
-                lo, margin, t_margin = hi, e_hi, hint
-            else:
-                while hi - lo > cfg.a_tol:
-                    mid = 0.5 * (lo + hi)
-                    e = exponent_at(mid)
-                    if e < 0.0:
-                        lo, margin, t_margin = mid, e, hint
-                    else:
-                        hi = mid
+            hint = _solve_tilt(gain, net, cfg.t_max, cfg.t_tol, hint)
         except UnboundedSearchError:
-            # shrinking rho pushed the tilt beyond t_max; this gamma cannot
-            # be certified on the current budget
-            continue
-        if best is None or lo > best["rho"]:
-            best = {"rho": lo, "gamma": gamma, "margin": margin, "t_opt": t_margin}
+            continue  # the boundary tilt lies past t_max: nothing certified here
+        rho = h / tilted_moment_ratio(hint, p, quad) * (1.0 - _SLACK)
+        if best is None or rho > best["rho"]:
+            best = {"rho": rho, "gamma": gamma, "h": h, "net": net, "t_opt": hint}
     if best is None:
         raise InfeasibleBoundError(f"no feasible sparsity ratio for alpha={alpha}, p={p}")
+    rho = best["rho"]
+    t_opt, val = chernoff_upper_exponent(best["h"] / rho, p, cfg, quad, _hint=best["t_opt"])
+    best.update(t_opt=t_opt, margin=binary_entropy(rho) * ln2 + best["net"] + rho * val)
     overall_margin = max(best["margin"], lam_max["margin"], lam_min["margin"])
     return BoundResult(
         alpha=alpha,
@@ -479,30 +454,9 @@ def strong_bound(
 def _lambda_tilde_detail(
     alpha: float, p: float, rho: float, cfg: ExponentSearchConfig, quad: QuadratureConfig
 ) -> dict:
-    _validate_alpha_p(alpha, p)
     if not 0.0 < rho < alpha:
         raise ValueError(f"need 0 < rho < alpha, got rho={rho}, alpha={alpha}")
-    mu_half = 0.5 * abs_moment(p)
-    best = None
-    for gamma in cfg.gamma_grid:
-        shrink = 1.0 - gamma**p
-        if best is not None and mu_half / shrink >= best["value"]:
-            continue
-        net = _net_term(alpha, gamma)
-
-        def exponent_at(a_tilde, hint):
-            t_opt, val = chernoff_indicator_exponent(a_tilde, p, cfg, quad, _hint=hint)
-            return net + rho * val, t_opt
-
-        a_tilde, margin, t_opt = _smallest_feasible_coefficient(
-            exponent_at, mu_half * (1.0 + 1e-9), cfg.a_tol
-        )
-        candidate = a_tilde / shrink
-        if best is None or candidate < best["value"]:
-            best = {"value": candidate, "gamma": gamma, "a_tilde": a_tilde, "margin": margin, "t_opt": t_opt}
-    if best is None:
-        raise InfeasibleBoundError("empty gamma grid")
-    return best
+    return _coefficient_detail("indicator", alpha, p, rho, cfg, quad)
 
 
 def compute_lambda_tilde_max(
@@ -530,55 +484,49 @@ def weak_bound(
         rho * lt_max(alpha, p, rho) <= (1 - rho) * lambda_min(alpha', p),
         alpha' = (alpha - rho) / (1 - rho).
 
-    Validity of the bisection rests on monotonicity of both sides in rho;
-    the iterates are checked at runtime and a violation aborts rather than
-    silently returning.  A rho whose lambda chain is infeasible on the
-    current grids counts as not certified (predicate false).
+    Validity of the bisection rests on monotonicity of both sides in rho,
+    and on the lambda chain at alpha' staying feasible below every certified
+    rho; the iterates are checked at runtime and a violation aborts rather
+    than silently returning.  A rho whose lambda chain is infeasible on the
+    current grids counts as not certified.
     """
     _validate_alpha_p(alpha, p)
     cfg = cfg or ExponentSearchConfig.default(alpha)
     evaluations = []
 
-    def predicate(rho: float):
-        lt = _lambda_tilde_detail(alpha, p, rho, cfg, quad)
+    def predicate(rho: float) -> dict:
         alpha_prime = (alpha - rho) / (1.0 - rho)
-        try:
-            lam_max_prime = _lambda_max_detail(alpha_prime, p, cfg, quad)
-            lam_min_prime = _lambda_min_detail(alpha_prime, p, cfg, quad, lam_max_prime["value"])
-        except (InfeasibleBoundError, UnboundedSearchError):
-            return False, {"rho": rho, "lt": lt, "infeasible": True}
-        ok = rho * lt["value"] <= (1.0 - rho) * lam_min_prime["value"]
-        info = {
-            "rho": rho,
-            "alpha_prime": alpha_prime,
-            "lt": lt,
-            "lam_min": lam_min_prime,
-            "lam_max": lam_max_prime,
-            "infeasible": False,
-        }
+        info = {"rho": rho, "alpha_prime": alpha_prime, "lt": _lambda_tilde_detail(alpha, p, rho, cfg, quad)}
         evaluations.append(info)
-        return ok, info
+        try:
+            info["lam_max"] = _lambda_max_detail(alpha_prime, p, cfg, quad)
+            info["lam_min"] = _lambda_min_detail(alpha_prime, p, cfg, quad, info["lam_max"]["value"])
+        except (InfeasibleBoundError, UnboundedSearchError):
+            info.update(infeasible=True, ok=False)
+            return info
+        info.update(infeasible=False, ok=rho * info["lt"]["value"] <= (1.0 - rho) * info["lam_min"]["value"])
+        return info
 
     lo_info = None
     rho_floor = alpha / cfg.rho_grid_resolution
     probe = alpha / 2.0
     while probe >= rho_floor:
-        ok, info = predicate(probe)
-        if ok:
+        info = predicate(probe)
+        if info["ok"]:
             lo, lo_info = probe, info
             break
         probe /= 2.0
     if lo_info is None:
         raise InfeasibleBoundError(f"no certifiable sparsity ratio above {rho_floor:g}")
     hi = alpha * (1.0 - 1e-9)
-    ok_hi, hi_info = predicate(hi)
-    if ok_hi:
+    hi_info = predicate(hi)
+    if hi_info["ok"]:
         lo, lo_info = hi, hi_info
     else:
         while hi - lo > cfg.a_tol:
             mid = 0.5 * (lo + hi)
-            ok, info = predicate(mid)
-            if ok:
+            info = predicate(mid)
+            if info["ok"]:
                 lo, lo_info = mid, info
             else:
                 hi = mid
@@ -602,7 +550,7 @@ def weak_bound(
             "lambda_max_alpha_prime": lam_max["value"],
             "slack": (1.0 - lo) * lam_min["value"] - lo * lt["value"],
             "alpha_prime": lo_info["alpha_prime"],
-            "lambda_tilde_a": lt["a_tilde"],
+            "lambda_tilde_a": lt["a"],
             "lambda_tilde_t": lt["t_opt"],
             "lambda_tilde_margin": lt["margin"],
             "lambda_max_alpha_prime_gamma": lam_max["gamma"],
@@ -618,8 +566,9 @@ def weak_bound(
 
 
 def _check_weak_monotonicity(evaluations, a_tol: float) -> None:
-    """The bisection needs rho*lt_max nondecreasing and lambda_min
-    nonincreasing in rho; verify on the evaluated iterates."""
+    """The bisection needs rho*lt_max nondecreasing, lambda_min(alpha')
+    nonincreasing, and the lambda chain at alpha' feasible below every
+    certified rho (alpha' falls as rho grows); verify on the iterates."""
     tol = 10.0 * a_tol + 1e-12
     pts = sorted(evaluations, key=lambda e: e["rho"])
     for prev, cur in zip(pts, pts[1:]):
@@ -630,8 +579,17 @@ def _check_weak_monotonicity(evaluations, a_tol: float) -> None:
                 f"rho * lambda_tilde_max decreased from {lhs_prev:.6g} at rho={prev['rho']:.6g} "
                 f"to {lhs_cur:.6g} at rho={cur['rho']:.6g}"
             )
+    feasible = [e for e in pts if not e["infeasible"]]
+    for prev, cur in zip(feasible, feasible[1:]):
         if cur["lam_min"]["value"] > prev["lam_min"]["value"] + tol:
             raise MonotonicityError(
                 f"lambda_min increased from {prev['lam_min']['value']:.6g} to "
                 f"{cur['lam_min']['value']:.6g} as rho grew"
+            )
+    certified = max(e["rho"] for e in pts if e["ok"])
+    for e in pts:
+        if e["infeasible"] and e["rho"] < certified:
+            raise MonotonicityError(
+                f"the lambda chain at alpha'={e['alpha_prime']:.6g} (rho={e['rho']:.6g}) is infeasible "
+                f"below the certified rho={certified:.6g}"
             )

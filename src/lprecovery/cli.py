@@ -9,6 +9,7 @@ with the same arguments and seed.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -123,36 +124,20 @@ def sectional_limit(p: float, output, fmt) -> None:
     _emit({"command": "sectional-limit", "p": p, "value": limits.sectional_limit_threshold(p)}, output, fmt)
 
 
-def _search_config(alpha: float, gamma_points: int, epsilon_points: int, a_tol: float) -> bounds.ExponentSearchConfig:
-    base = bounds.ExponentSearchConfig.default(alpha, gamma_points=gamma_points, epsilon_points=epsilon_points)
-    if a_tol == base.a_tol:
-        return base
-    return bounds.ExponentSearchConfig(
-        gamma_grid=base.gamma_grid,
-        epsilon_grid=base.epsilon_grid,
-        t_max=base.t_max,
-        t_tol=base.t_tol,
-        a_tol=a_tol,
-        rho_grid_resolution=base.rho_grid_resolution,
-    )
-
-
 @threshold.command("strong-bound")
 @click.option("--alpha", type=float, required=True, help="Undersampling ratio m/n in (0, 1).")
 @click.option("--p", type=float, required=True, help="Quasinorm exponent in (0, 1].")
 @click.option("--gamma-points", type=int, default=60, show_default=True, help="Size of the net-radius grid.")
 @click.option("--epsilon-points", type=int, default=20, show_default=True, help="Size of the feasibility-slack grid.")
-@click.option("--a-tol", type=float, default=1e-6, show_default=True, help="Bisection tolerance.")
 @_output_option
 @_format_option
-def strong_bound_cmd(alpha, p, gamma_points, epsilon_points, a_tol, output, fmt) -> None:
+def strong_bound_cmd(alpha, p, gamma_points, epsilon_points, output, fmt) -> None:
     """Certified strong-recovery sparsity bound at a fixed undersampling ratio."""
     _log_config(
         "threshold strong-bound",
-        alpha=alpha, p=p, gamma_points=gamma_points, epsilon_points=epsilon_points, a_tol=a_tol,
-        output=output, format=fmt,
+        alpha=alpha, p=p, gamma_points=gamma_points, epsilon_points=epsilon_points, output=output, format=fmt,
     )
-    cfg = _search_config(alpha, gamma_points, epsilon_points, a_tol)
+    cfg = bounds.ExponentSearchConfig.default(alpha, gamma_points=gamma_points, epsilon_points=epsilon_points)
     result = bounds.strong_bound(alpha, p, cfg)
     payload = {"command": "strong-bound", "value": result.rho_bound}
     payload.update(result.to_record(cfg))
@@ -164,7 +149,7 @@ def strong_bound_cmd(alpha, p, gamma_points, epsilon_points, a_tol, output, fmt)
 @click.option("--p", type=float, required=True, help="Quasinorm exponent in (0, 1].")
 @click.option("--gamma-points", type=int, default=60, show_default=True, help="Size of the net-radius grid.")
 @click.option("--epsilon-points", type=int, default=20, show_default=True, help="Size of the feasibility-slack grid.")
-@click.option("--a-tol", type=float, default=1e-6, show_default=True, help="Bisection tolerance.")
+@click.option("--a-tol", type=float, default=1e-6, show_default=True, help="Bisection tolerance on rho.")
 @_output_option
 @_format_option
 def weak_bound_cmd(alpha, p, gamma_points, epsilon_points, a_tol, output, fmt) -> None:
@@ -174,7 +159,8 @@ def weak_bound_cmd(alpha, p, gamma_points, epsilon_points, a_tol, output, fmt) -
         alpha=alpha, p=p, gamma_points=gamma_points, epsilon_points=epsilon_points, a_tol=a_tol,
         output=output, format=fmt,
     )
-    cfg = _search_config(alpha, gamma_points, epsilon_points, a_tol)
+    base = bounds.ExponentSearchConfig.default(alpha, gamma_points=gamma_points, epsilon_points=epsilon_points)
+    cfg = dataclasses.replace(base, a_tol=a_tol)
     result = bounds.weak_bound(alpha, p, cfg)
     payload = {"command": "weak-bound", "value": result.rho_bound}
     payload.update(result.to_record(cfg))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -187,9 +186,3 @@ def write_matrix_csv(path, M: np.ndarray) -> None:
 
 def write_vector_csv(path, v: np.ndarray) -> None:
     write_matrix_csv(path, np.asarray(v, dtype=float).reshape(-1, 1))
-
-
-def ensure_dir(path) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    return out

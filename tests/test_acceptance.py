@@ -17,6 +17,7 @@ from lprecovery import gaussian as g
 from lprecovery import limits
 from lprecovery.conditions import SearchBudget
 from lprecovery.linalg import RngSeed
+from lprecovery.quadrature import integrate
 from lprecovery.solvers import solve_l0_exhaustive, solve_l1, solve_lp_irls
 
 from conftest import seeded_sparse_instance
@@ -212,9 +213,12 @@ def test_criterion_11_concentration_suite():
 def test_criterion_12_numerical_foundation_suite():
     start = time.monotonic()
     ok = abs(g.abs_moment(2.0) - 1.0) <= 1e-10
+    # abs_moment is the gamma closed form, so the oracle is the quadrature
+    # of x^p f(x), with break points laid toward the cusp at the origin
+    cusp = tuple(4.0**-k for k in range(24)) + (2.0, 4.0)
     for p in [round(0.1 * k, 1) for k in range(1, 11)]:
-        closed = 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
-        ok &= abs(g.abs_moment(p) - closed) <= 1e-10 * closed
+        oracle = integrate(lambda x: x**p * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * x * x), 0.0, 12.0, points=cusp)
+        ok &= abs(g.abs_moment(p) - oracle) <= 1e-10 * oracle
     # closed forms at p = 1: 2 e^{t^2/2} Phi(+-t)
     for t in (0.3, 1.0, 2.5):
         phi = 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))

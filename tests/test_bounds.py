@@ -312,3 +312,58 @@ def test_every_bound_stage_rebuilds_from_its_record():
     margins.append(exponent)
     assert max(margins) == pytest.approx(weak["exponent_margin"], abs=1e-12)
     assert max(margins) < 0.0
+
+
+def test_every_coefficient_stage_is_tight_to_the_slack_not_to_a_tol():
+    # even on a coarse a_tol each stage sits a relative 1e-7 past its
+    # boundary, so a 1e-6 step toward the boundary leaves certification
+    alpha, p, ln2 = 0.9, 0.5, math.log(2.0)
+    base = B.ExponentSearchConfig.default(alpha, gamma_points=6, epsilon_points=4)
+    cfg = B.ExponentSearchConfig(gamma_grid=base.gamma_grid, epsilon_grid=base.epsilon_grid, a_tol=3e-2)
+
+    def upper(alpha_, gamma, a):
+        return _net(alpha_, gamma) + B.chernoff_upper_exponent(a, p, cfg)[1]
+
+    strong = B.strong_bound(alpha, p, cfg)
+    gamma = strong.detail["lambda_max_gamma"]
+    a = strong.lambda_max * (1.0 - gamma**p)
+    assert upper(alpha, gamma, a) < 0.0 <= upper(alpha, gamma, a * (1.0 - 1e-6))
+    gamma = strong.winning_gamma
+    h = 0.5 * strong.lambda_min * (1.0 - gamma**p)
+
+    def rho_stage(rho):
+        return B.binary_entropy(rho) * ln2 + _net(alpha, gamma) + rho * B.chernoff_upper_exponent(h / rho, p, cfg)[1]
+
+    assert rho_stage(strong.rho_bound) < 0.0 <= rho_stage(strong.rho_bound * (1.0 + 1e-6))
+
+    weak = B.weak_bound(alpha, p, cfg)
+    d, rho, gamma = weak.detail, weak.rho_bound, weak.winning_gamma
+
+    def tilde(a):
+        return _net(alpha, gamma) + rho * B.chernoff_indicator_exponent(a, p, cfg)[1]
+
+    a = d["lambda_tilde_a"]
+    assert tilde(a) < 0.0 <= tilde(a * (1.0 - 1e-6))
+    gamma, a = d["lambda_max_alpha_prime_gamma"], d["lambda_max_alpha_prime_a"]
+    assert upper(d["alpha_prime"], gamma, a) < 0.0 <= upper(d["alpha_prime"], gamma, a * (1.0 - 1e-6))
+
+
+def test_weak_bound_rejects_an_infeasible_rho_below_a_certified_one(monkeypatch):
+    alpha, p = 0.9, 0.5
+    cfg = _record_config(alpha)
+    rho = B.weak_bound(alpha, p, cfg).rho_bound
+    # the halving probe alpha / 2^k that first certified, strictly below the bound
+    probe = alpha / 2.0
+    while probe >= rho:
+        probe /= 2.0
+    infeasible_alpha_prime = (alpha - probe) / (1.0 - probe)
+    lambda_min_detail = B._lambda_min_detail
+
+    def patched(alpha_prime, *args, **kwargs):
+        if alpha_prime == infeasible_alpha_prime:
+            raise B.InfeasibleBoundError("patched: no feasible pair")
+        return lambda_min_detail(alpha_prime, *args, **kwargs)
+
+    monkeypatch.setattr(B, "_lambda_min_detail", patched)
+    with pytest.raises(B.MonotonicityError, match="infeasible below the certified"):
+        B.weak_bound(alpha, p, cfg)

@@ -173,6 +173,15 @@ def test_numerical_errors_exit_two(capsys):
     assert "numerical error" in err
 
 
+def test_a_tol_only_on_weak_bound(capsys):
+    # a_tol sets only the weak bound's bisection on rho
+    code, _, err = run_cli(capsys, "threshold", "strong-bound", "--alpha", "0.9", "--p", "0.5", "--a-tol", "1e-3")
+    assert code == 1
+    assert "--a-tol" in err
+    code, out, _ = run_cli(capsys, "threshold", "weak-bound", "--help")
+    assert code == 0 and "--a-tol" in out
+
+
 def test_help_screens_exist(capsys):
     for args in (
         ["--help"],

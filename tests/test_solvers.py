@@ -62,6 +62,20 @@ def test_l1_recovers_example1_vector(matrix_k2):
     assert result.recovered
 
 
+def test_l1_certifies_an_optimum_near_the_transition():
+    # HiGHS returns this vertex with |Ax - y|_inf = 8.9e-7, enough to break
+    # the 1e-8 duality-gap test unless the vertex is refit on its support
+    rng = np.random.default_rng(1005)
+    A = rng.standard_normal((100, 200))
+    for k in (10, 25, 40):
+        for _ in range(6):
+            x = np.zeros(200)
+            x[rng.choice(200, k, replace=False)] = rng.standard_normal(k)
+    result = sv.solve_l1(sv.RecoveryInstance(A=A, y=A @ x, p=1.0, x_true=x))
+    assert np.abs(A @ result.x_hat - A @ x).max() <= 1e-12
+    assert result.objective <= np.abs(x).sum() + 1e-9
+
+
 def test_l1_matches_l0_in_recoverable_regime():
     agree = 0
     for seed in range(100):
