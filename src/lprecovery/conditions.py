@@ -3,10 +3,11 @@
 All conditions quantify over every nonzero z in the kernel-coefficient
 space.  They are positively homogeneous in z, so only unit directions
 matter; for a one-dimensional kernel the two directions +-1 decide the
-verdict exactly.  In higher dimension the quantifier is undecidable by
-sampling, so ``certify`` reports either a concrete counterexample (with a
-re-verifiable witness) or "not falsified within budget", flagged through
-``certificate_exact``.
+verdict exactly.  ``weak_l1`` is decided exactly at any dimension by one
+linear program (a dual certificate or a witness).  Otherwise sampling
+cannot decide the quantifier, so ``certify`` reports either a concrete
+counterexample (with a re-verifiable witness) or "not falsified within
+budget", flagged through ``certificate_exact``.
 
 Modes and their inequalities at a given z (B_i the rows of the basis):
 
@@ -23,9 +24,12 @@ all modes.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .linalg import RngSeed
 
@@ -67,6 +71,14 @@ class SupportPattern:
         """The all-plus pattern on the first ``size`` indices."""
         return cls(support=tuple(range(size)), signs=(1,) * size)
 
+    @cached_property
+    def support_array(self) -> np.ndarray:
+        return np.array(self.support, dtype=int)
+
+    @cached_property
+    def sign_array(self) -> np.ndarray:
+        return np.array(self.signs, dtype=float)
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -87,9 +99,11 @@ class ConditionVerdict:
     """Outcome of a certification run.
 
     ``holds`` means "not falsified"; it is a proof only when
-    ``certificate_exact`` is set (one-dimensional kernels).  A falsified
-    verdict carries a witness (z, lhs, rhs) that re-evaluates to a violation
-    with the public condition evaluators alone.
+    ``certificate_exact`` is set (one-dimensional kernels, and ``weak_l1``
+    at any dimension, whose ``detail`` then carries the dual certificate
+    ``lambda``, ``tau`` = its sup norm and ``margin`` = 1 - tau).  A
+    falsified verdict carries a witness (z, lhs, rhs) that re-evaluates to a
+    violation with the public condition evaluators alone.
     """
 
     mode: str
@@ -107,14 +121,34 @@ def partition_support(B: np.ndarray, z: np.ndarray, pat: SupportPattern):
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     z = np.asarray(z, dtype=float)
-    rows = np.fromiter(pat.support, dtype=int)
-    vals = B[rows] @ z
-    scale = _ZERO_REL_TOL * np.linalg.norm(z) * np.linalg.norm(B[rows], axis=1)
-    signs = np.where(np.abs(vals) <= scale, 0.0, np.sign(vals))
-    fighting = signs * np.asarray(pat.signs) < 0
-    t_minus = tuple(int(i) for i in rows[fighting])
-    t_plus = tuple(int(i) for i in rows[~fighting])
-    return t_minus, t_plus
+    rows = pat.support_array
+    fighting = _fighting(B, z, B @ z, pat)
+    return tuple(int(i) for i in rows[fighting]), tuple(int(i) for i in rows[~fighting])
+
+
+def _fighting(B: np.ndarray, z: np.ndarray, bz: np.ndarray, pat: SupportPattern) -> np.ndarray:
+    """Mask over ``pat.support``: True where the row fights the sign pattern.
+
+    A row fights when (B_i z) * sign_i < 0 and |B_i z| exceeds 1e-12 |z| |B_i|;
+    the row norms are needed only for the rare rows under the coarser bound
+    1e-12 |z| * 2|B|_F.
+    """
+    rows = pat.support_array
+    vals = bz[rows]
+    fighting = vals * pat.sign_array < 0
+    norm_z = np.linalg.norm(z)
+    near_zero = fighting & (np.abs(vals) <= _ZERO_REL_TOL * norm_z * 2.0 * np.linalg.norm(B))
+    if near_zero.any():
+        idx = np.flatnonzero(near_zero)
+        scale = _ZERO_REL_TOL * norm_z * np.linalg.norm(B[rows[idx]], axis=1)
+        fighting[idx[np.abs(vals[idx]) <= scale]] = False
+    return fighting
+
+
+def _complement(n: int, rows: np.ndarray) -> np.ndarray:
+    mask = np.ones(n, dtype=bool)
+    mask[rows] = False
+    return mask
 
 
 def strong_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, rho_n: int):
@@ -147,12 +181,13 @@ def weak_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, pat: Suppor
         raise ValueError(f"p must lie in [0, 1], got {p}")
     B = np.atleast_2d(np.asarray(B, dtype=float))
     z = np.asarray(z, dtype=float)
-    t_minus, t_plus = partition_support(B, z, pat)
-    comp = sorted(set(range(B.shape[0])) - set(pat.support))
-    bz_minus = B[list(t_minus)] @ z if t_minus else np.zeros(0)
-    bz_comp = B[comp] @ z if comp else np.zeros(0)
+    bz = B @ z
+    rows = pat.support_array
+    fighting = _fighting(B, z, bz, pat)
+    bz_support = bz[rows]
+    bz_minus, bz_plus = bz_support[fighting], bz_support[~fighting]
+    bz_comp = bz[_complement(bz.size, rows)]
     if p == 1.0:
-        bz_plus = B[list(t_plus)] @ z if t_plus else np.zeros(0)
         lhs = float(np.abs(bz_minus).sum())
         rhs = float(np.abs(bz_comp).sum() + np.abs(bz_plus).sum())
         return lhs < rhs, lhs, rhs
@@ -160,7 +195,6 @@ def weak_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, pat: Suppor
     rhs = float(_entry_powers(bz_comp, p).sum())
     if p == 0.0:
         return lhs < rhs, lhs, rhs
-    bz_plus = B[list(t_plus)] @ z if t_plus else np.zeros(0)
     plus_scale = np.linalg.norm(z) * max(1.0, float(np.abs(B).max()))
     plus_vanishes = bool(np.all(np.abs(bz_plus) <= _ZERO_REL_TOL * plus_scale))
     holds = lhs < rhs if plus_vanishes else lhs <= rhs
@@ -171,12 +205,12 @@ def sectional_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, suppor
     """(lhs, rhs) of the sectional condition on a fixed support."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     z = np.asarray(z, dtype=float)
-    support = sorted(set(int(i) for i in support))
-    if support and (support[0] < 0 or support[-1] >= B.shape[0]):
+    rows = np.unique(np.array([int(i) for i in support], dtype=int))
+    if rows.size and (rows[0] < 0 or rows[-1] >= B.shape[0]):
         raise ValueError("support index out of range")
-    comp = sorted(set(range(B.shape[0])) - set(support))
-    lhs = float(_entry_powers(B[support] @ z if support else np.zeros(0), p).sum())
-    rhs = float(_entry_powers(B[comp] @ z if comp else np.zeros(0), p).sum())
+    bz = B @ z
+    lhs = float(_entry_powers(bz[rows], p).sum())
+    rhs = float(_entry_powers(bz[_complement(bz.size, rows)], p).sum())
     return lhs, rhs
 
 
@@ -205,9 +239,11 @@ def _mode_p(mode: str, p: float) -> float:
 def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBudget = SearchBudget()) -> ConditionVerdict:
     """Certify or falsify a null-space condition over all kernel directions.
 
-    One-column B: exact (z = +-1 by homogeneity).  Two columns: dense angle
-    sweep plus refinement.  Otherwise: random unit directions followed by a
-    derivative-free pattern search with shrinking steps on the best
+    One-column B: exact (z = +-1 by homogeneity).  ``weak_l1`` with two or
+    more columns: exact by one linear program, falling back to the search
+    below only if its certificate does not re-check.  Two columns: dense
+    angle sweep plus refinement.  Otherwise: random unit directions followed
+    by a derivative-free pattern search with shrinking steps on the best
     candidates; any violation is returned as a witness.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -225,6 +261,10 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
     dim = B.shape[1]
     if dim == 1:
         return _certify_exact_1d(B, mode, p, spec)
+    if mode == "weak_l1":
+        verdict = _certify_weak_l1_lp(B, spec)
+        if verdict is not None:
+            return verdict
     if dim == 2:
         candidates = _angle_candidates(max(budget.sphere_samples, 4096))
     else:
@@ -267,15 +307,75 @@ def _certify_exact_1d(B: np.ndarray, mode: str, p: float, spec) -> ConditionVerd
         z = np.array([direction])
         violated, margin, lhs, rhs = _violation(B, mode, p, spec, z)
         if violated:
-            verdict = _falsified(mode, z, lhs, rhs)
-            return ConditionVerdict(
-                mode=mode,
-                holds=False,
-                certificate_exact=True,
-                witness=verdict.witness,
-                detail=verdict.detail,
-            )
+            return dataclasses.replace(_falsified(mode, z, lhs, rhs), certificate_exact=True)
     return ConditionVerdict(mode=mode, holds=True, certificate_exact=True, witness=None)
+
+
+def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict | None:
+    """Exact weak-l1 verdict by linear programming, or None if undecided.
+
+    With s the pattern's signs, rhs - lhs at z is f(z) = s^T B_T z +
+    ||B_Tc z||_1, so the condition is f > 0 on every z != 0.  The LP
+
+        tau = min ||lam||_inf  subject to  B_Tc^T lam = -B_T^T s
+
+    decides it when B_Tc has full column rank.  If tau < 1, lam is the
+    certificate: with r = B_Tc^T lam + B_T^T s (one matmul) and sigma_min the
+    smallest singular value of B_Tc, f(z) >= ((1 - tau) sigma_min - |r|) |z|,
+    which must come out positive.  If tau >= 1, the equality marginals y
+    (s^T B_T y = -tau, ||B_Tc y||_1 <= 1) give f(y) <= 1 - tau <= 0.  A
+    rank-deficient B_Tc is broken by its null direction.  Falsified verdicts
+    are re-evaluated through ``weak_condition_holds_for``; anything that does
+    not re-check returns None and leaves the verdict to the search.
+    """
+    rows = pat.support_array
+    comp = B[_complement(B.shape[0], rows)]
+    target = -(B[rows].T @ pat.sign_array)
+    m, dim = comp.shape
+    # zero rows pad a short B_Tc so that vt always spans R^dim
+    padded = np.vstack([comp, np.zeros((max(0, dim - m), dim))])
+    _, sigma, vt = np.linalg.svd(padded, full_matrices=False)
+    sigma_min = float(sigma[-1])
+    if sigma_min <= max(padded.shape) * np.finfo(float).eps * sigma[0]:
+        null = vt[-1]
+        return _lp_witness(B, pat, (null, -null), {})
+    res = linprog(
+        np.r_[np.zeros(m), 1.0],
+        A_ub=np.block([[np.eye(m), -np.ones((m, 1))], [-np.eye(m), -np.ones((m, 1))]]),
+        b_ub=np.zeros(2 * m),
+        A_eq=np.hstack([comp.T, np.zeros((dim, 1))]),
+        b_eq=target,
+        bounds=[(None, None)] * m + [(0.0, None)],
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    lam = res.x[:m]
+    tau = float(np.abs(lam).max())
+    if tau < 1.0:
+        residual = float(np.linalg.norm(comp.T @ lam - target))
+        if (1.0 - tau) * sigma_min <= residual:
+            return None
+        detail = {
+            "tau": tau,
+            "margin": 1.0 - tau,
+            "lambda": [float(v) for v in lam],
+            "sigma_min": sigma_min,
+            "residual": residual,
+        }
+        return ConditionVerdict(mode="weak_l1", holds=True, certificate_exact=True, detail=detail)
+    y = np.asarray(res.eqlin.marginals, dtype=float)
+    return _lp_witness(B, pat, (y, -y), {"tau": tau})
+
+
+def _lp_witness(B, pat, directions, detail) -> ConditionVerdict | None:
+    """Exact falsified verdict at the first direction the public evaluator rejects."""
+    for z in directions:
+        holds, lhs, rhs = weak_condition_holds_for(B, z, 1.0, pat)
+        if not holds:
+            verdict = _falsified("weak_l1", z, lhs, rhs)
+            return dataclasses.replace(verdict, certificate_exact=True, detail={**verdict.detail, **detail})
+    return None
 
 
 def _falsified(mode: str, z: np.ndarray, lhs: float, rhs: float) -> ConditionVerdict:

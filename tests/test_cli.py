@@ -71,6 +71,19 @@ def test_certify_from_measurement_matrix(tmp_path, capsys):
     assert payload["holds"] is False and payload["certificate_exact"] is True
 
 
+def test_certify_weak_l1_is_exact_on_a_multi_column_basis(tmp_path, capsys):
+    path = tmp_path / "B.csv"
+    la.write_matrix_csv(path, la.sample_gaussian_matrix(200, 4, la.RngSeed(77)))
+    code, out, _ = run_cli(
+        capsys, "certify", "--matrix", str(path), "--mode", "weak_l1", "--p", "1", "--rho", "0.9"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certificate_exact"] is True
+    assert "tau" in payload["detail"]
+    assert (payload["detail"]["tau"] < 1.0) == payload["holds"]
+
+
 def test_certify_strong_rounds_rho_times_rows(tmp_path, capsys, monkeypatch):
     # 0.29 * 100 = 28.999999999999996 in floating point; the sparsity is 29
     from lprecovery import conditions

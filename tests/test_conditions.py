@@ -1,12 +1,15 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from lprecovery import conditions as C
 from lprecovery import linalg as la
 from lprecovery import solvers as sv
-from lprecovery.experiments import example1_kernel, example1_matrix
+from lprecovery.experiments import example1_kernel, example1_matrix, run_example1, run_weak_threshold_probe
 
 
 def kernel_column(k: int) -> np.ndarray:
@@ -234,3 +237,191 @@ def test_certify_input_validation():
         C.certify(B, "weak_lp", 0.5, 3)  # weak modes need a pattern
     with pytest.raises(ValueError):
         C.SearchBudget(sphere_samples=0)
+
+
+# ---------------------------------------------------------------------------
+# regression oracle: the evaluator before it scored every block from one B @ z
+# ---------------------------------------------------------------------------
+
+
+def _oracle_partition_support(B, z, pat):
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    z = np.asarray(z, dtype=float)
+    rows = np.fromiter(pat.support, dtype=int)
+    vals = B[rows] @ z
+    scale = 1e-12 * np.linalg.norm(z) * np.linalg.norm(B[rows], axis=1)
+    signs = np.where(np.abs(vals) <= scale, 0.0, np.sign(vals))
+    fighting = signs * np.asarray(pat.signs) < 0
+    t_minus = tuple(int(i) for i in rows[fighting])
+    t_plus = tuple(int(i) for i in rows[~fighting])
+    return t_minus, t_plus
+
+
+def _oracle_weak_condition_holds_for(B, z, p, pat):
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    z = np.asarray(z, dtype=float)
+    t_minus, t_plus = _oracle_partition_support(B, z, pat)
+    comp = sorted(set(range(B.shape[0])) - set(pat.support))
+    bz_minus = B[list(t_minus)] @ z if t_minus else np.zeros(0)
+    bz_comp = B[comp] @ z if comp else np.zeros(0)
+    if p == 1.0:
+        bz_plus = B[list(t_plus)] @ z if t_plus else np.zeros(0)
+        lhs = float(np.abs(bz_minus).sum())
+        rhs = float(np.abs(bz_comp).sum() + np.abs(bz_plus).sum())
+        return lhs < rhs, lhs, rhs
+    lhs = float(C._entry_powers(bz_minus, p).sum())
+    rhs = float(C._entry_powers(bz_comp, p).sum())
+    if p == 0.0:
+        return lhs < rhs, lhs, rhs
+    bz_plus = B[list(t_plus)] @ z if t_plus else np.zeros(0)
+    plus_scale = np.linalg.norm(z) * max(1.0, float(np.abs(B).max()))
+    plus_vanishes = bool(np.all(np.abs(bz_plus) <= 1e-12 * plus_scale))
+    holds = lhs < rhs if plus_vanishes else lhs <= rhs
+    return holds, lhs, rhs
+
+
+def _kernel_with_ties(seed: int):
+    """Seeded 600 x 6 kernel, a direction z, and rows on which B_i z is 0 or 1e-15."""
+    base = la.RngSeed(seed)
+    B = la.sample_gaussian_matrix(600, 6, base).copy()
+    z = la.sample_gaussian_vector(6, base.child(1))
+    rng = base.child(2).generator()
+    tie_rows = rng.choice(600, size=60, replace=False)
+    B[tie_rows[:20]] = 0.0
+    B[tie_rows[20:]] -= np.outer(B[tie_rows[20:]] @ z, z) / (z @ z)
+    B[tie_rows[40:]] += np.outer(rng.choice([-1e-15, 1e-15], size=20), z) / (z @ z)
+    support = np.sort(rng.choice(600, size=360, replace=False))
+    pat = C.SupportPattern(tuple(int(i) for i in support), tuple(int(v) for v in rng.choice([-1, 1], size=360)))
+    return B, z, pat
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_weak_evaluator_matches_the_three_matvec_oracle(p):
+    for seed in range(6):
+        B, z, pat = _kernel_with_ties(3100 + seed)
+        directions = [z, -z, la.sample_gaussian_vector(6, la.RngSeed(3200 + seed))]
+        for direction in directions:
+            assert C.weak_condition_holds_for(B, direction, p, pat) == _oracle_weak_condition_holds_for(
+                B, direction, p, pat
+            )
+            assert C.partition_support(B, direction, pat) == _oracle_partition_support(B, direction, pat)
+
+
+def test_ties_in_the_oracle_kernel_agree_with_the_pattern():
+    B, z, pat = _kernel_with_ties(3100)
+    t_minus, _ = C.partition_support(B, z, pat)
+    bz = B @ z
+    fights = {i for i, s in zip(pat.support, pat.signs) if bz[i] * s < 0}
+    tied = {i for i in pat.support if abs(bz[i]) <= 1e-12 * np.linalg.norm(z) * np.linalg.norm(B[i])}
+    assert tied & fights and not tied & set(t_minus)
+
+
+@pytest.mark.parametrize(
+    "p,digest",
+    [
+        (0.0, "9336f47b695a777cd8b477e45953c2ce86905e0b10e0bcbdaac5436aed674357"),
+        (0.5, "4f1626e5824e92f4598a505c446f90015fb4f65c569d0cc5af344fa5b6c78c69"),
+    ],
+)
+def test_small_probe_report_is_pinned(p, digest):
+    report = run_weak_threshold_probe(
+        n=600, codim=6, p=p, rho_list=(0.5, 0.8), trials=3, budget=C.SearchBudget(16, 4), seed=la.RngSeed(600)
+    )
+    text = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# exact weak-l1 verdicts by linear programming
+# ---------------------------------------------------------------------------
+
+
+def _weak_l1_primal_optimum(B, pat):
+    """min over ||z||_inf <= 1 of s^T B_T z + ||B_Tc z||_1 (0 exactly when weak-l1 holds)."""
+    support = list(pat.support)
+    comp = [i for i in range(B.shape[0]) if i not in set(support)]
+    B_c = B[comp]
+    dim, rest = B.shape[1], len(comp)
+    cost = np.concatenate([np.asarray(pat.signs, dtype=float) @ B[support], np.ones(rest)])
+    eye = np.eye(rest)
+    res = linprog(
+        cost,
+        A_ub=np.block([[B_c, -eye], [-B_c, -eye]]),
+        b_ub=np.zeros(2 * rest),
+        bounds=[(-1.0, 1.0)] * dim + [(0.0, None)] * rest,
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+def _random_pattern(n: int, size: int, seed: int) -> C.SupportPattern:
+    rng = la.RngSeed(seed).generator()
+    support = np.sort(rng.choice(n, size=size, replace=False))
+    return C.SupportPattern(tuple(int(i) for i in support), tuple(int(v) for v in rng.choice([-1, 1], size=size)))
+
+
+def test_weak_l1_lp_verdict_agrees_with_the_primal_lp():
+    n, codim = 200, 5
+    verdicts = []
+    for seed in range(20):
+        B = la.sample_gaussian_matrix(n, codim, la.RngSeed(4100 + seed))
+        for rho in (0.5, 0.8, 0.9, 0.95):
+            pat = _random_pattern(n, int(round(rho * n)), 4200 + seed)
+            verdict = C.certify(B, "weak_l1", 1.0, pat)
+            assert verdict.certificate_exact
+            optimum = _weak_l1_primal_optimum(B, pat)
+            tol = 1e-9 * float(np.abs(B).sum())
+            assert verdict.holds == (optimum >= -tol)
+            verdicts.append(verdict.holds)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_weak_l1_holds_certificate_rechecks_from_its_detail():
+    n = 200
+    B = la.sample_gaussian_matrix(n, 5, la.RngSeed(4300))
+    pat = _random_pattern(n, 160, 4301)
+    verdict = C.certify(B, "weak_l1", 1.0, pat)
+    assert verdict.holds and verdict.certificate_exact
+    lam = np.asarray(verdict.detail["lambda"])
+    tau = verdict.detail["tau"]
+    assert float(np.abs(lam).max()) == tau < 1.0
+    assert verdict.detail["margin"] == 1.0 - tau
+    comp = [i for i in range(n) if i not in set(pat.support)]
+    residual = B[comp].T @ lam + B[list(pat.support)].T @ np.asarray(pat.signs, dtype=float)
+    assert float(np.abs(residual).max()) <= 1e-9
+
+
+def test_weak_l1_falsified_witness_reverifies_exactly():
+    n = 200
+    B = la.sample_gaussian_matrix(n, 5, la.RngSeed(4400))
+    pat = _random_pattern(n, 190, 4401)
+    verdict = C.certify(B, "weak_l1", 1.0, pat)
+    assert not verdict.holds and verdict.certificate_exact
+    assert verdict.detail["tau"] >= 1.0
+    holds, lhs, rhs = C.weak_condition_holds_for(B, np.asarray(verdict.witness["z"]), 1.0, pat)
+    assert not holds
+    assert lhs == verdict.witness["lhs"] and rhs == verdict.witness["rhs"]
+
+
+def test_weak_l1_rank_deficient_complement_is_falsified():
+    n, codim = 40, 6
+    B = la.sample_gaussian_matrix(n, codim, la.RngSeed(4500))
+    pat = _random_pattern(n, n - 3, 4501)  # B_Tc has 3 rows, rank 3 < 6
+    verdict = C.certify(B, "weak_l1", 1.0, pat)
+    assert not verdict.holds and verdict.certificate_exact
+    holds, lhs, rhs = C.weak_condition_holds_for(B, np.asarray(verdict.witness["z"]), 1.0, pat)
+    assert not holds and (lhs, rhs) == (verdict.witness["lhs"], verdict.witness["rhs"])
+    full = C.certify(B, "weak_l1", 1.0, C.SupportPattern.nonnegative(n))
+    assert not full.holds and full.certificate_exact
+
+
+def test_weak_l1_on_one_dimensional_kernels_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a one-dimensional kernel is decided by z = +-1")
+
+    monkeypatch.setattr(C, "linprog", no_lp)
+    for k in (1, 2, 5):
+        claims = run_example1(k)["claims"]
+        assert claims["weak_l1_holds"]["value"] is True
+        assert claims["weak_l1_holds"]["exact"] is True
