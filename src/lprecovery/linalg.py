@@ -116,8 +116,20 @@ def null_space_basis(A: np.ndarray) -> np.ndarray:
 def min_norm_weighted_solve(A: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Minimize sum_i w_i x_i^2 subject to A x = y (w_i > 0, A full row rank).
 
-    Solved through the scaled system G = A diag(w^{-1/2}): the minimum-norm
-    least-squares solution u of G u = y gives x = w^{-1/2} u.
+    Solved through the scaled system G = A diag(w^{-1/2}) and the reduced QR
+    factorization G^T = Q R (Q n-by-m with orthonormal columns, R m-by-m upper
+    triangular): the minimum-norm solution of G u = y is u = Q R^{-T} y, and
+    x = w^{-1/2} u.
+
+    The condition of A W^{-1} A^T is cond(R)^2, since G and R share their
+    singular values.  R is inverted by LAPACK ``dtrtri``; when
+    4 (||R||_F ||R^{-1}||_F)^2, an upper bound on cond(R)^2 with room for the
+    rounding in R^{-1}, is within ``_COND_LIMIT``, the conditioning guard and
+    the rank test both pass and no SVD is needed.  Any other R, an exactly
+    singular one included, is judged by its singular values:
+    IllConditionedError when cond(R)^2 exceeds the limit, RankDeficientError
+    when fewer than m of them exceed eps * max(m, n) * sigma_max (the rank
+    rule of ``numpy.linalg.lstsq``).
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -127,17 +139,23 @@ def min_norm_weighted_solve(A: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.n
         raise ValueError(f"y must have length {m}")
     if w.shape != (n,) or not np.all(w > 0):
         raise ValueError("weights must be positive and match the column count")
+    if m > n:
+        raise RankDeficientError(f"{m} rows cannot have full row rank in {n} columns")
     d = 1.0 / np.sqrt(w)
     G = A * d[None, :]
-    u, _, rank, sing = np.linalg.lstsq(G, y, rcond=None)
-    # condition of A W^{-1} A^T is the squared singular-value ratio of G
-    if sing[-1] > 0.0 and (sing[0] / sing[-1]) ** 2 > _COND_LIMIT:
-        raise IllConditionedError(
-            f"weighted normal system condition {(sing[0] / sing[-1]) ** 2:.2e} exceeds {_COND_LIMIT:g}"
-        )
-    if rank < m:
-        raise RankDeficientError("weighted system lost row rank")
-    return d * u
+    Q, R = scipy.linalg.qr(G.T, mode="economic")
+    R_inv, info = scipy.linalg.lapack.dtrtri(R)
+    # info > 0 flags an exactly zero diagonal entry of R; the SVD tests reject such an R
+    if info != 0 or 4.0 * (np.linalg.norm(R) * np.linalg.norm(R_inv)) ** 2 > _COND_LIMIT:
+        sing = np.linalg.svd(R, compute_uv=False)
+        if sing[-1] > 0.0 and (sing[0] / sing[-1]) ** 2 > _COND_LIMIT:
+            raise IllConditionedError(
+                f"weighted normal system condition {(sing[0] / sing[-1]) ** 2:.2e} exceeds {_COND_LIMIT:g}"
+            )
+        rank = np.count_nonzero(sing > np.finfo(float).eps * n * sing[0])
+        if rank < m:
+            raise RankDeficientError("weighted system lost row rank")
+    return d * (Q @ (R_inv.T @ y))
 
 
 def _parse_cell(text: str, line_no: int, col_no: int) -> float:

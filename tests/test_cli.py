@@ -125,6 +125,20 @@ def test_solve_job_file(tmp_path, capsys):
     assert json.loads(out)["objective"] == 2.0
 
 
+def test_solve_irls_on_a_zero_row_exits_with_a_numerical_error(tmp_path, capsys):
+    A = la.sample_gaussian_matrix(10, 20, 21)
+    A[4] = 0.0
+    x = np.zeros(20)
+    x[3], x[7] = 2.0, -1.5
+    la.write_matrix_csv(tmp_path / "A.csv", A)
+    la.write_vector_csv(tmp_path / "y.csv", A @ x)
+    (tmp_path / "job.json").write_text(json.dumps({"matrix": "A.csv", "y": "y.csv", "p": 0.5}))
+    code, out, err = run_cli(capsys, "solve", "--instance", str(tmp_path / "job.json"), "--method", "lp")
+    assert code == 2
+    assert out == ""
+    assert "numerical error" in err
+
+
 def test_experiment_example1_and_csv(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"k": 2}))

@@ -128,6 +128,115 @@ def test_min_norm_solve_conditioning_guard():
         la.min_norm_weighted_solve(A, np.ones(3), w)
 
 
+def _lstsq_reference(A, y, w):
+    """The weighted solve by SVD least squares on G = A diag(w^{-1/2})."""
+    m = A.shape[0]
+    d = 1.0 / np.sqrt(w)
+    u, _, rank, sing = np.linalg.lstsq(A * d[None, :], y, rcond=None)
+    if sing[-1] > 0.0 and (sing[0] / sing[-1]) ** 2 > la._COND_LIMIT:
+        raise la.IllConditionedError("reference: condition above the limit")
+    if rank < m:
+        raise la.RankDeficientError("reference: rank below m")
+    return d * u
+
+
+def _outcome(solve, A, y, w):
+    try:
+        return solve(A, y, w)
+    except (la.IllConditionedError, la.RankDeficientError) as exc:
+        return type(exc)
+
+
+def _count_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_min_norm_solve_agrees_with_lstsq_reference(monkeypatch):
+    svd_calls = _count_svd_calls(monkeypatch)
+    raised = solved_by_svd = solved_directly = 0
+    for trial in range(200):
+        base = la.RngSeed(8080).child(trial)
+        rng = base.generator()
+        m = int(rng.integers(1, 41))
+        n = int(rng.integers(m + 1, 2 * m + 41))
+        A = la.sample_gaussian_matrix(m, n, base.child(1))
+        y = la.sample_gaussian_vector(m, base.child(2))
+        span = 40.0 * rng.random()  # weights spread over up to 40 decades
+        w = 10.0 ** (span * (rng.random(n) - 0.5))
+        expected = _outcome(_lstsq_reference, A, y, w)
+        before = len(svd_calls)
+        got = _outcome(la.min_norm_weighted_solve, A, y, w)
+        if isinstance(expected, type):
+            assert got is expected, (trial, m, n, span)
+            raised += 1
+            continue
+        assert not isinstance(got, type), (trial, m, n, span)
+        assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
+        if len(svd_calls) > before:
+            solved_by_svd += 1
+        else:
+            solved_directly += 1
+    assert raised > 0 and solved_by_svd > 0 and solved_directly > 0
+
+
+def test_min_norm_solve_zero_row_is_ill_conditioned():
+    A = la.sample_gaussian_matrix(10, 20, 21)
+    A[4] = 0.0
+    y = A @ np.linspace(-1.0, 1.0, 20)
+    for w in (np.ones(20), np.linspace(0.5, 2.0, 20)):
+        with pytest.raises(la.IllConditionedError):
+            _lstsq_reference(A, y, w)
+        with pytest.raises(la.IllConditionedError):
+            la.min_norm_weighted_solve(A, y, w)
+
+
+def _with_singular_values(m, n, sing, seed):
+    U = np.linalg.qr(la.sample_gaussian_matrix(m, m, la.RngSeed(seed)))[0]
+    V = np.linalg.qr(la.sample_gaussian_matrix(n, m, la.RngSeed(seed).child(1)))[0]
+    return (U * sing[None, :]) @ V.T
+
+
+def test_min_norm_solve_takes_the_svd_when_the_frobenius_bound_fails(monkeypatch):
+    # nine singular values at 10^-6.9: cond^2 = 6.3e13 < 1e14, while
+    # 4 (||R||_F ||R^-1||_F)^2 is about 2.3e15
+    sing = np.array([1.0] + [10.0**-6.9] * 9)
+    A = _with_singular_values(10, 30, sing, 5150)
+    y = la.sample_gaussian_vector(10, 5151)
+    w = np.ones(30)
+    svd_calls = _count_svd_calls(monkeypatch)
+    x = la.min_norm_weighted_solve(A, y, w)
+    assert len(svd_calls) == 1
+    expected = _lstsq_reference(A, y, w)
+    assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_min_norm_solve_raises_just_above_the_condition_limit():
+    sing = np.array([1.0, 0.5, 1e-7 * (1.0 - 1e-3)])  # cond^2 = 1.002e14
+    A = _with_singular_values(3, 8, sing, 5152)
+    y = la.sample_gaussian_vector(3, 5153)
+    with pytest.raises(la.IllConditionedError):
+        _lstsq_reference(A, y, np.ones(8))
+    with pytest.raises(la.IllConditionedError):
+        la.min_norm_weighted_solve(A, y, np.ones(8))
+
+
+def test_min_norm_solve_rejects_more_rows_than_columns():
+    A = la.sample_gaussian_matrix(6, 4, 5154)
+    y = la.sample_gaussian_vector(6, 5155)
+    with pytest.raises(la.RankDeficientError):
+        _lstsq_reference(A, y, np.ones(4))
+    with pytest.raises(la.RankDeficientError):
+        la.min_norm_weighted_solve(A, y, np.ones(4))
+
+
 def test_csv_roundtrip(tmp_path):
     M = la.sample_gaussian_matrix(3, 4, 77)
     path = tmp_path / "m.csv"

@@ -180,6 +180,85 @@ def test_irls_monte_carlo_recovery_rate():
     assert recovered >= 95
 
 
+# x_hat, iterations and recovered of both recovery programs on a seeded
+# 50 x 100 set, computed with the numpy-lstsq weighted solve and HiGHS with
+# presolve; entries not listed are zero (to 1e-13)
+PINNED_RECOVERY = {
+    ("l1", 5): (25, True, {
+        40: 1.0919737996097347, 51: -0.08765322904914696, 62: -0.11995258399058285, 92: 1.7096998448472327,
+        99: 0.5474187314708356,
+    }),
+    ("l1", 12): (59, True, {
+        5: 0.028795717265983185, 30: -0.467028772943739, 34: 1.1198119278461982, 39: -0.4985938926956221,
+        41: 0.06046682415601233, 47: -1.9006090151779738, 58: 1.6193697580092972, 62: -0.25316701119300167,
+        70: 1.5729598173034893, 78: 2.470767028413123, 80: -1.2283253294459193, 87: -0.9057483197117848,
+    }),
+    ("l1", 28): (91, False, {
+        1: 0.03182348979798351, 2: 0.07370119559992339, 3: -0.12358893826468896, 5: -0.9958395105991881,
+        11: -0.017168580332262554, 13: -0.019064888356355742, 14: -0.07314088030687974,
+        19: -0.1369873021861371, 20: -0.04475865344276148, 21: 0.0032738651992646347,
+        22: -0.0451794812743086, 23: 0.022284281423265374, 28: -0.10513516489689465, 32: 0.5915473165676053,
+        34: -0.10001709882232174, 35: -0.0461122105399968, 36: 0.1504325796773095, 39: -0.7065016670519894,
+        43: -1.4152589790601646, 44: -0.18975582605876867, 45: -1.1781318371895877, 47: -0.18151524300590763,
+        48: 0.16568873200184228, 50: 0.0006073841611931817, 55: 0.6756954617347882, 57: 0.8809022243460524,
+        58: 1.1623544830468702, 59: 0.7719008585124943, 65: 0.6682988968443881, 66: -0.11673111949991286,
+        67: -0.1281868557699868, 68: 1.466481746029634, 72: -0.18131478520910077, 74: 0.14613387332641156,
+        75: 0.43715842920928655, 76: 1.3858382615491667, 78: -0.009196002637106845, 79: 0.10290167306017843,
+        80: 0.011293686543518752, 81: -0.1269811500251836, 83: -1.4674323896358954, 84: -0.06214251911340268,
+        86: 1.1666056507261524, 87: -0.5084142010075727, 88: -0.27237618936426755, 89: 0.39919098916729107,
+        90: -0.4595839369809125, 91: -0.011266119364408996, 94: 0.6166093643202645, 95: -1.171356927577185,
+    }),
+    ("irls", 5): (21, True, {
+        40: 1.0919737996097347, 51: -0.08765322904914667, 62: -0.11995258399058303, 92: 1.7096998448472311,
+        99: 0.5474187314708356,
+    }),
+    ("irls", 12): (25, True, {
+        5: 0.02879571726598449, 30: -0.46702877294373685, 34: 1.1198119278461953, 39: -0.4985938926956222,
+        41: 0.060466824156011074, 47: -1.9006090151779726, 58: 1.6193697580092994, 62: -0.2531670111930011,
+        70: 1.5729598173034898, 78: 2.470767028413123, 80: -1.2283253294459187, 87: -0.9057483197117842,
+    }),
+}
+
+
+def pinned_instance(k: int) -> sv.RecoveryInstance:
+    seed = la.RngSeed(8050).child(k)
+    A = la.sample_gaussian_matrix(50, 100, seed.child(0))
+    support = np.argsort(la.sample_gaussian_vector(100, seed.child(1)))[:k]
+    x = np.zeros(100)
+    x[support] = la.sample_gaussian_vector(k, seed.child(2))
+    return sv.RecoveryInstance(A=A, y=A @ x, p=0.5, x_true=x)
+
+
+@pytest.mark.parametrize("solver, k", sorted(PINNED_RECOVERY))
+def test_recovery_outputs_are_pinned(solver, k):
+    iterations, recovered, entries = PINNED_RECOVERY[(solver, k)]
+    inst = pinned_instance(k)
+    result = sv.solve_l1(inst) if solver == "l1" else sv.solve_lp_irls(inst)
+    assert result.iterations == iterations
+    assert result.recovered is recovered
+    expected = np.zeros(100)
+    expected[list(entries)] = list(entries.values())
+    assert np.abs(result.x_hat - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("defect", ["zero", "duplicate", "dependent"])
+def test_l1_certifies_and_recovers_with_redundant_rows(defect):
+    # presolve would drop these rows; the simplex must cope with them as they are
+    for trial in range(5):
+        A = la.sample_gaussian_matrix(20, 40, la.RngSeed(2040).child(trial))
+        if defect == "zero":
+            A[3] = 0.0
+        elif defect == "duplicate":
+            A[3] = A[7]
+        else:
+            A[3] = 2.0 * A[1] - 0.5 * A[9]
+        x = np.zeros(40)
+        x[[2, 11, 30]] = [1.5, -0.7, 2.2]
+        result = sv.solve_l1(sv.RecoveryInstance(A=A, y=A @ x, p=1.0, x_true=x))
+        assert result.recovered
+        assert result.objective == pytest.approx(np.abs(x).sum(), rel=1e-12)
+
+
 def test_job_file_roundtrip(tmp_path):
     inst = seeded_sparse_instance(31, m=6, n=12, sparsity=2, p=0.5)
     la.write_matrix_csv(tmp_path / "A.csv", inst.A)
