@@ -19,9 +19,6 @@ from .bounds import (
 from .conditions import ConditionVerdict, SearchBudget, SupportPattern, certify
 from .gaussian import (
     abs_moment,
-    half_normal_cdf,
-    half_normal_pdf,
-    mgf_indicator,
     mgf_neg,
     mgf_pos,
 )

@@ -266,15 +266,14 @@ def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, re
 @click.argument("kind", type=click.Choice(["example1", "phase", "strong-vs-weak", "weak-probe", "concentration"]))
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="JSON file with the experiment parameters.")
-@click.option("--workers", type=int, default=None, help="Worker threads (default: LP_RECOVERY_THREADS or 1).")
 @click.option("--csv-out", type=click.Path(dir_okay=False), help="Write the grid summary CSV here.")
 @_output_option
 @_format_option
-def experiment_cmd(kind, spec_path, workers, csv_out, output, fmt) -> None:
+def experiment_cmd(kind, spec_path, csv_out, output, fmt) -> None:
     """Run a seeded experiment described by a JSON spec file."""
     with open(spec_path) as fh:
         raw = json.load(fh)
-    _log_config("experiment", kind=kind, spec=raw, workers=workers, output=output, format=fmt)
+    _log_config("experiment", kind=kind, spec=raw, output=output, format=fmt)
     if kind == "example1":
         payload = experiments.run_example1(int(raw["k"]), float(raw.get("p", 0.5)))
         _emit(payload, output, fmt)
@@ -289,7 +288,7 @@ def experiment_cmd(kind, spec_path, workers, csv_out, output, fmt) -> None:
             amplitude_model=raw.get("amplitude_model", "standard_normal"),
             seed=RngSeed(int(raw.get("seed", 0))),
         )
-        report = experiments.run_phase_transition(spec, workers=workers)
+        report = experiments.run_phase_transition(spec)
     elif kind == "strong-vs-weak":
         report = experiments.run_strong_vs_weak(
             n=int(raw["n"]),
@@ -299,7 +298,6 @@ def experiment_cmd(kind, spec_path, workers, csv_out, output, fmt) -> None:
             matrices=int(raw["matrices"]),
             vectors_per_point=int(raw["vectors_per_point"]),
             seed=RngSeed(int(raw.get("seed", 0))),
-            workers=workers,
         )
     elif kind == "weak-probe":
         budget_raw = raw.get("budget", {})
@@ -322,7 +320,6 @@ def experiment_cmd(kind, spec_path, workers, csv_out, output, fmt) -> None:
             trials=int(raw["trials"]),
             budget=budget,
             seed=RngSeed(int(raw.get("seed", 0))),
-            workers=workers,
         )
     else:
         report = experiments.run_concentration_check(
@@ -331,7 +328,6 @@ def experiment_cmd(kind, spec_path, workers, csv_out, output, fmt) -> None:
             rho=float(raw["rho"]),
             trials=int(raw["trials"]),
             seed=RngSeed(int(raw.get("seed", 0))),
-            workers=workers,
         )
     log.info("experiment finished in %.2fs", report.wall_time)
     if csv_out:

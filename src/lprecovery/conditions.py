@@ -257,6 +257,8 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
         spec = tuple(int(i) for i in pattern_or_rho)
     elif not isinstance(spec, SupportPattern):
         raise ValueError("weak modes need a SupportPattern")
+    elif spec.support and spec.support[-1] >= B.shape[0]:
+        raise ValueError(f"support index {spec.support[-1]} lies outside the basis's {B.shape[0]} rows")
 
     dim = B.shape[1]
     if dim == 1:

@@ -1,9 +1,8 @@
 """Reproducible Monte Carlo experiments and exact worked-example reports.
 
-Every experiment derives one independent sub-seed per (grid point, trial)
-from the master seed, so results are identical no matter how trials are
-scheduled; ``LP_RECOVERY_THREADS`` (or the ``workers`` argument) only
-changes the wall time.  Reports echo their full specification and ship the
+Every experiment runs its trials serially and derives one independent
+sub-seed per (grid point, trial) from the master seed, so each report is
+reproducible per seed.  Reports echo their full specification and ship the
 per-trial records that produced every aggregate number.
 """
 
@@ -11,9 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,21 +36,10 @@ __all__ = [
     "run_strong_vs_weak",
     "run_weak_threshold_probe",
     "run_concentration_check",
-    "worker_count",
     "report_to_csv",
 ]
 
 AMPLITUDE_MODELS = ("standard_normal", "spike_mixture")
-
-
-def worker_count(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("LP_RECOVERY_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -123,11 +109,12 @@ def report_to_csv(report: ExperimentReport, path) -> None:
             )
 
 
-def _map_trials(fn, args_list, workers: int):
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda a: fn(*a), args_list))
+def _check_counts_and_rhos(rhos, **counts) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if not rhos or not all(0.0 < r <= 1.0 for r in rhos):
+        raise ValueError("need at least one rho, each within (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +284,13 @@ def _phase_trial(spec: PhaseDiagramSpec, p: float, rho: float, pi: int, ri: int,
 def run_phase_transition(
     spec: PhaseDiagramSpec,
     irls: IrlsConfig = IrlsConfig(),
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Recovery success rate over a (p, rho) grid; deterministic per seed."""
     start = time.monotonic()
-    workers = worker_count(workers)
     points = []
     for pi, p in enumerate(spec.p_list):
         for ri, rho in enumerate(spec.rho_grid):
-            args = [(spec, p, rho, pi, ri, trial, irls) for trial in range(spec.trials_per_point)]
-            records = _map_trials(_phase_trial, args, workers)
+            records = [_phase_trial(spec, p, rho, pi, ri, trial, irls) for trial in range(spec.trials_per_point)]
             successes = sum(1 for r in records if r.get("recovered"))
             points.append(
                 {
@@ -362,7 +346,6 @@ def run_strong_vs_weak(
     vectors_per_point: int,
     seed: RngSeed,
     irls: IrlsConfig = IrlsConfig(),
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Strong- versus weak-recovery comparison on a shared matrix ensemble.
 
@@ -373,17 +356,16 @@ def run_strong_vs_weak(
     """
     if not m < n:
         raise ValueError("need m < n")
+    _check_counts_and_rhos(rho_grid, matrices=matrices, vectors_per_point=vectors_per_point)
     start = time.monotonic()
-    workers = worker_count(workers)
     points = []
     for mode in ("weak", "strong"):
         for pi, p in enumerate(p_list):
             for ri, rho in enumerate(rho_grid):
-                args = [
-                    (n, m, p, rho, mode, mi, pi, ri, vectors_per_point, seed, irls)
+                records = [
+                    _strong_vs_weak_point(n, m, p, rho, mode, mi, pi, ri, vectors_per_point, seed, irls)
                     for mi in range(matrices)
                 ]
-                records = _map_trials(_strong_vs_weak_point, args, workers)
                 rate = sum(1 for r in records if r["all_recovered"]) / matrices
                 points.append(
                     {
@@ -436,7 +418,6 @@ def run_weak_threshold_probe(
     trials: int,
     budget: SearchBudget = SearchBudget(),
     seed: RngSeed = RngSeed(0),
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Falsification frequency of the weak condition on random kernels.
 
@@ -446,12 +427,11 @@ def run_weak_threshold_probe(
     """
     if codim > 12:
         raise ValueError("probe is meaningful only for small codimension (<= 12)")
+    _check_counts_and_rhos(rho_list, trials=trials)
     start = time.monotonic()
-    workers = worker_count(workers)
     points = []
     for ri, rho in enumerate(rho_list):
-        args = [(n, codim, p, rho, ri, trial, budget, seed) for trial in range(trials)]
-        records = _map_trials(_probe_trial, args, workers)
+        records = [_probe_trial(n, codim, p, rho, ri, trial, budget, seed) for trial in range(trials)]
         falsified = sum(1 for r in records if r["falsified"])
         points.append(
             {
@@ -513,7 +493,6 @@ def run_concentration_check(
     seed: RngSeed = RngSeed(0),
     band: float = 0.02,
     bracket_eps_factor: float = 0.03,
-    workers: int | None = None,
 ) -> ExperimentReport:
     """Concentration of the top-fraction sum and of the pattern sub-sums.
 
@@ -524,11 +503,10 @@ def run_concentration_check(
     """
     if n < 1000:
         raise ValueError("concentration check needs n >= 1000")
+    _check_counts_and_rhos((rho,), trials=trials)
     start = time.monotonic()
-    workers = worker_count(workers)
     mu = abs_moment(p)
-    args = [(n, p, rho, trial, seed, mu) for trial in range(trials)]
-    records = _map_trials(_concentration_trial, args, workers)
+    records = [_concentration_trial(n, p, rho, trial, seed, mu) for trial in range(trials)]
     ratios = np.array([r["ratio"] for r in records])
     mismatch = np.array([r["mismatch_mean"] for r in records])
     comp = np.array([r["complement_mean"] for r in records])

@@ -9,9 +9,9 @@ and to three moment generating functions of |X|^p for X ~ N(0, 1):
 
 * ``mgf_pos``       E[exp( t |X|^p)]            (t >= 0)
 * ``mgf_neg``       E[exp(-t |X|^p)]            (t > 0)
-* ``mgf_indicator`` E[exp( t |X|^p S)] with S the indicator of a sign
-  mismatch against a fixed pattern; S is Bernoulli(1/2) independent of
-  |X|, so this equals (mgf_pos + 1) / 2.
+* ``log_mgf_indicator`` log E[exp( t |X|^p S)] with S the indicator of a
+  sign mismatch against a fixed pattern; S is Bernoulli(1/2) independent
+  of |X|, so the expectation equals (mgf_pos + 1) / 2.
 
 Exponentials are evaluated in log space with the integrand's peak factored
 out, so arbitrarily large tilts t stay finite.
@@ -26,13 +26,10 @@ import numpy as np
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 
 __all__ = [
-    "half_normal_pdf",
-    "half_normal_cdf",
     "abs_moment",
     "mgf_pos",
     "log_mgf_pos",
     "mgf_neg",
-    "mgf_indicator",
     "log_mgf_indicator",
     "mgf_neg_log_upper_bound",
     "tilted_moment_ratio",
@@ -55,20 +52,6 @@ def _origin_ladder(head: float, floor: float = 1e-14, factor: float = 4.0):
         pts.append(x)
         x /= factor
     return pts
-
-
-def half_normal_pdf(z: float) -> float:
-    """Density of |X| for X ~ N(0,1); zero for negative arguments."""
-    if z < 0:
-        return 0.0
-    return _SQRT_2_OVER_PI * math.exp(-0.5 * z * z)
-
-
-def half_normal_cdf(z: float) -> float:
-    """CDF of |X|: erf(z / sqrt(2)) for z >= 0, zero below."""
-    if z < 0:
-        return 0.0
-    return math.erf(z / math.sqrt(2.0))
 
 
 def _check_exponent(p: float) -> None:
@@ -206,11 +189,6 @@ def log_mgf_indicator(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRA
     return np.logaddexp(lm, 0.0) - math.log(2.0)
 
 
-def mgf_indicator(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """E[exp(t |X|^p S)] = (mgf_pos(t, p) + 1) / 2."""
-    return math.exp(log_mgf_indicator(t, p, cfg))
-
-
 def tilted_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """d/dt log mgf_pos: the mean of |X|^p under the exponentially tilted law.
 
@@ -224,7 +202,7 @@ def tilted_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUAD
 
 
 def indicator_tilted_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """d/dt log mgf_indicator = w * d/dt log mgf_pos, w = 1 / (1 + 1/mgf_pos).
+    """d/dt log_mgf_indicator = w * d/dt log mgf_pos, w = 1 / (1 + 1/mgf_pos).
 
     The indicator law puts mass 1/2 on S = 0, which the weight w discounts.
     """

@@ -177,6 +177,51 @@ def test_byte_identical_artifacts(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_experiment_has_no_workers_option(tmp_path, capsys):
+    spec = tmp_path / "phase.json"
+    spec.write_text(
+        json.dumps({"n": 20, "m": 10, "p_list": [0.5], "rho_grid": [0.05], "trials_per_point": 2, "seed": 1})
+    )
+    code, out, err = run_cli(capsys, "experiment", "phase", "--spec", str(spec), "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert "No such option" in err and "--workers" in err
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [
+        ("weak-probe", {"n": 40, "codim": 3, "p": 0.5, "rho_list": [0.5], "trials": 0}),
+        ("weak-probe", {"n": 40, "codim": 3, "p": 0.5, "rho_list": [1.5], "trials": 1}),
+        ("strong-vs-weak", {"n": 20, "m": 10, "p_list": [1.0], "rho_grid": [0.2], "matrices": 0,
+                            "vectors_per_point": 1}),
+        ("concentration", {"n": 1000, "p": 0.5, "rho": 1.5, "trials": 2}),
+    ],
+)
+def test_experiment_rejects_empty_or_out_of_range_specs(tmp_path, capsys, kind, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "experiment", kind, "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert "invalid parameter" in err
+
+
+@pytest.mark.parametrize("mode", ["weak_lp", "weak_l1"])
+def test_certify_weak_pattern_outside_the_basis_exits_one(tmp_path, capsys, mode):
+    path = tmp_path / "B.csv"
+    la.write_matrix_csv(path, la.sample_gaussian_matrix(12, 3, la.RngSeed(4)))
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps({"support": [2, 13], "signs": [1, -1]}))  # 1-based; 13 > 12 rows
+    for extra in (["--pattern", str(pattern)], ["--rho", "1.5"]):
+        code, out, err = run_cli(
+            capsys, "certify", "--matrix", str(path), "--mode", mode, "--p", "0.5", *extra
+        )
+        assert code == 1
+        assert out == ""
+        assert "invalid parameter" in err and "outside the basis" in err
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(capsys, "threshold", "strong-limit")[0] == 1  # missing --p
     assert run_cli(capsys, "nonsense")[0] == 1

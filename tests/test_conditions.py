@@ -239,6 +239,18 @@ def test_certify_input_validation():
         C.SearchBudget(sphere_samples=0)
 
 
+@pytest.mark.parametrize("mode, p", [("weak_l1", 1.0), ("weak_lp", 0.5), ("weak_l0", 0.0)])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_certify_rejects_a_weak_pattern_outside_the_basis(mode, p, dim):
+    B = la.sample_gaussian_matrix(12, dim, la.RngSeed(3))
+    with pytest.raises(ValueError, match="outside the basis"):
+        C.certify(B, mode, p, C.SupportPattern(support=(2, 12), signs=(1, -1)))
+    with pytest.raises(ValueError, match="outside the basis"):
+        C.certify(B, mode, p, C.SupportPattern.nonnegative(18))
+    # the last row is still inside
+    C.certify(B, mode, p, C.SupportPattern(support=(2, 11), signs=(1, -1)), C.SearchBudget(8, 2))
+
+
 # ---------------------------------------------------------------------------
 # regression oracle: the evaluator before it scored every block from one B @ z
 # ---------------------------------------------------------------------------

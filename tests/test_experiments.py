@@ -52,9 +52,6 @@ def test_phase_transition_depth_and_determinism():
         assert point["success_rate"] == sum(bool(r.get("recovered")) for r in records) / len(records)
     again = ex.run_phase_transition(spec)
     assert report.to_json() == again.to_json()
-    # parallel execution cannot change the artifact
-    threaded = ex.run_phase_transition(spec, workers=4)
-    assert threaded.to_json() == report.to_json()
 
 
 def test_phase_transition_l1_route():
@@ -152,11 +149,93 @@ def test_report_csv_schema(tmp_path):
     assert "wall_time" in timed
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("LP_RECOVERY_THREADS", raising=False)
-    assert ex.worker_count() == 1
-    monkeypatch.setenv("LP_RECOVERY_THREADS", "6")
-    assert ex.worker_count() == 6
-    assert ex.worker_count(3) == 3
-    monkeypatch.setenv("LP_RECOVERY_THREADS", "junk")
-    assert ex.worker_count() == 1
+# Per-trial outcomes frozen from a reference run; each trial draws from its
+# own (grid point, trial) sub-seed, and records keep the trial order.
+PHASE_PINS = {
+    (0.5, 0.1): [True, True, True, True, True, False],
+    (0.5, 0.3): [False, False, False, False, False, True],
+    (1.0, 0.1): [True, True, True, True, True, True],
+    (1.0, 0.3): [False, False, False, False, False, False],
+}
+STRONG_VS_WEAK_PINS = {
+    ("weak", 1.0, 0.2): [True, True, True, True],
+    ("weak", 1.0, 0.5): [False, False, False, False],
+    ("weak", 0.5, 0.2): [True, True, True, True],
+    ("weak", 0.5, 0.5): [False, False, False, False],
+    ("strong", 1.0, 0.2): [True, True, True, False],
+    ("strong", 1.0, 0.5): [False, False, False, False],
+    ("strong", 0.5, 0.2): [True, True, True, True],
+    ("strong", 0.5, 0.5): [False, False, False, True],
+}
+CONCENTRATION_PINS = [
+    (0.4511192720672347, 1.0087012587064743, 0.9780337541011499),
+    (0.4485568367257016, 0.9298810982617385, 1.012551043237267),
+    (0.4511070872380402, 1.005116114442606, 0.9938405962351536),
+    (0.4427821294735675, 1.0053329917051788, 1.0063798867961282),
+]
+
+
+def test_phase_transition_pinned_records():
+    spec = ex.PhaseDiagramSpec(
+        n=30, m=15, p_list=(0.5, 1.0), rho_grid=(0.1, 0.3), trials_per_point=6, seed=RngSeed(21)
+    )
+    points = ex.run_phase_transition(spec).points
+    assert [(pt["p"], pt["rho"]) for pt in points] == list(PHASE_PINS)
+    for point in points:
+        flags = PHASE_PINS[(point["p"], point["rho"])]
+        assert [r["trial"] for r in point["records"]] == list(range(6))
+        assert [r["recovered"] for r in point["records"]] == flags
+        assert point["success_rate"] == sum(flags) / 6
+
+
+def test_strong_vs_weak_pinned_records():
+    points = ex.run_strong_vs_weak(
+        n=30, m=20, p_list=(1.0, 0.5), rho_grid=(0.2, 0.5), matrices=4, vectors_per_point=3,
+        seed=RngSeed(22),
+    ).points
+    assert [(pt["mode"], pt["p"], pt["rho"]) for pt in points] == list(STRONG_VS_WEAK_PINS)
+    for point in points:
+        flags = STRONG_VS_WEAK_PINS[(point["mode"], point["p"], point["rho"])]
+        assert [r["matrix"] for r in point["records"]] == list(range(4))
+        assert [r["all_recovered"] for r in point["records"]] == flags
+        assert point["success_rate"] == sum(flags) / 4
+
+
+def test_concentration_pinned_records():
+    records = ex.run_concentration_check(1000, 0.5, 0.3, trials=4, seed=RngSeed(23)).points[0]["records"]
+    assert [r["trial"] for r in records] == list(range(4))
+    for record, (ratio, mismatch, complement) in zip(records, CONCENTRATION_PINS, strict=True):
+        assert record["ratio"] == pytest.approx(ratio, abs=1e-12)
+        assert record["mismatch_mean"] == pytest.approx(mismatch, abs=1e-12)
+        assert record["complement_mean"] == pytest.approx(complement, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: ex.run_weak_threshold_probe(n=40, codim=3, p=0.5, rho_list=(0.5,), trials=0),
+        lambda: ex.run_weak_threshold_probe(n=40, codim=3, p=0.5, rho_list=(0.5, 1.5), trials=1),
+        lambda: ex.run_weak_threshold_probe(n=40, codim=3, p=0.5, rho_list=(), trials=1),
+        lambda: ex.run_strong_vs_weak(20, 10, (1.0,), (0.2,), matrices=0, vectors_per_point=1, seed=RngSeed(1)),
+        lambda: ex.run_strong_vs_weak(20, 10, (1.0,), (0.2,), matrices=1, vectors_per_point=0, seed=RngSeed(1)),
+        lambda: ex.run_strong_vs_weak(20, 10, (1.0,), (1.5,), matrices=1, vectors_per_point=1, seed=RngSeed(1)),
+        lambda: ex.run_concentration_check(1000, 0.5, 0.3, trials=0),
+        lambda: ex.run_concentration_check(1000, 0.5, 1.5, trials=1),
+        lambda: ex.run_concentration_check(1000, 0.5, 0.0, trials=1),
+    ],
+    ids=[
+        "probe-zero-trials", "probe-rho-above-one", "probe-no-rho", "svw-zero-matrices",
+        "svw-zero-vectors", "svw-rho-above-one", "concentration-zero-trials",
+        "concentration-rho-above-one", "concentration-rho-zero",
+    ],
+)
+def test_experiments_reject_empty_or_out_of_range_specs(run):
+    with pytest.raises(ValueError):
+        run()
+
+
+def test_weak_probe_accepts_the_full_support():
+    report = ex.run_weak_threshold_probe(
+        n=40, codim=3, p=0.5, rho_list=(1.0,), trials=2, budget=SearchBudget(16, 4), seed=RngSeed(2)
+    )
+    assert len(report.points[0]["records"]) == 2
