@@ -33,7 +33,6 @@ from .limits import (
 from .linalg import RngSeed, min_norm_weighted_solve, null_space_basis, sample_gaussian_matrix
 from .quadrature import QuadratureConfig, QuadratureError
 from .solvers import (
-    IrlsConfig,
     RecoveryInstance,
     SolverResult,
     lp_quasinorm,

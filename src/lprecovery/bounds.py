@@ -45,6 +45,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .gaussian import (
+    _log_mgf_and_ratio,
+    _to_indicator,
     abs_moment,
     indicator_tilted_moment_ratio,
     log_mgf_indicator,
@@ -53,7 +55,6 @@ from .gaussian import (
     mgf_neg_log_upper_bound,
     tilted_moment_ratio,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
 __all__ = [
     "ExponentSearchConfig",
@@ -74,7 +75,7 @@ __all__ = [
 
 # Each coefficient stage stops a relative _SLACK past its exact boundary, so
 # its margin is about -_SLACK * scale * a * t*; since t Lambda'(t) >= Lambda(t),
-# that is at least 1000x the default quadrature rel_tol (1e-10) on Lambda.
+# that is at least 1000x the quadrature rel_tol (1e-10) on Lambda.
 _SLACK = 1e-7
 
 
@@ -121,10 +122,16 @@ class ExponentSearchConfig:
             raise ValueError("gamma grid must be sorted ascending")
         if not (self.t_tol > 0 and self.a_tol > 0):
             raise ValueError("tolerances must be positive")
+        if not self.t_max > 0:
+            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not self.rho_grid_resolution >= 1:
+            raise ValueError(f"rho_grid_resolution must be at least 1, got {self.rho_grid_resolution}")
 
     @classmethod
     def default(cls, alpha: float, gamma_points: int = 60, epsilon_points: int = 20) -> "ExponentSearchConfig":
         """Default grids: log-spaced gamma in [1e-6, 0.9], linear eps in (0, alpha]."""
+        if gamma_points < 1 or epsilon_points < 1:
+            raise ValueError(f"grids need at least one point, got {gamma_points} gamma and {epsilon_points} eps")
         gammas = tuple(np.geomspace(1e-6, 0.9, gamma_points))
         epsilons = tuple(np.linspace(alpha / epsilon_points, alpha, epsilon_points))
         return cls(gamma_grid=gammas, epsilon_grid=epsilons)
@@ -215,22 +222,15 @@ def _chernoff_exponent(log_mgf_fn, mean_fn, a: float, p: float, cfg, hint):
     The value is the objective evaluated exactly at t_opt, which bounds the
     minimum from above at any t > 0; search precision only affects tightness.
     """
-    t_max = cfg.t_max if cfg is not None else 1e12
-    t_tol = cfg.t_tol if cfg is not None else 1e-10
+    cfg = cfg or ExponentSearchConfig()
     if hint is None:
         # large-a asymptote of the tilted mean: (p t)^(p / (2 - p)) = a
-        hint = math.exp(min((2.0 - p) / p * math.log(a) - math.log(p), math.log(t_max)))
-    t_opt = _solve_tilt(mean_fn, a, t_max, t_tol, hint)
+        hint = math.exp(min((2.0 - p) / p * math.log(a) - math.log(p), math.log(cfg.t_max)))
+    t_opt = _solve_tilt(mean_fn, a, cfg.t_max, cfg.t_tol, hint)
     return t_opt, log_mgf_fn(t_opt) - a * t_opt
 
 
-def chernoff_upper_exponent(
-    a: float,
-    p: float,
-    cfg: ExponentSearchConfig | None = None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    _hint=None,
-):
+def chernoff_upper_exponent(a: float, p: float, cfg: ExponentSearchConfig | None = None, _hint=None):
     """min_{t>0} [ log E e^{t|X|^p} - a t ] -> (t_opt, value).
 
     Requires a > E[|X|^p]; the objective is convex with a unique interior
@@ -240,18 +240,10 @@ def chernoff_upper_exponent(
     mu = abs_moment(p)
     if not a > mu:
         raise ValueError(f"need a > E[|X|^p] = {mu:.6f}, got a = {a}")
-    return _chernoff_exponent(
-        lambda t: log_mgf_pos(t, p, quad), lambda t: tilted_moment_ratio(t, p, quad), a, p, cfg, _hint
-    )
+    return _chernoff_exponent(lambda t: log_mgf_pos(t, p), lambda t: tilted_moment_ratio(t, p), a, p, cfg, _hint)
 
 
-def chernoff_indicator_exponent(
-    a_tilde: float,
-    p: float,
-    cfg: ExponentSearchConfig | None = None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-    _hint=None,
-):
+def chernoff_indicator_exponent(a_tilde: float, p: float, cfg: ExponentSearchConfig | None = None, _hint=None):
     """min_{t>0} [ log E e^{t|X|^p S} - a_tilde t ] -> (t_opt, value).
 
     S is the Bernoulli(1/2) sign-mismatch indicator, so the moment condition
@@ -261,12 +253,7 @@ def chernoff_indicator_exponent(
     if not a_tilde > mu_half:
         raise ValueError(f"need a_tilde > E[|X|^p S] = {mu_half:.6f}, got {a_tilde}")
     return _chernoff_exponent(
-        lambda t: log_mgf_indicator(t, p, quad),
-        lambda t: indicator_tilted_moment_ratio(t, p, quad),
-        a_tilde,
-        p,
-        cfg,
-        _hint,
+        lambda t: log_mgf_indicator(t, p), lambda t: indicator_tilted_moment_ratio(t, p), a_tilde, p, cfg, _hint
     )
 
 
@@ -281,71 +268,67 @@ def _validate_alpha_p(alpha: float, p: float) -> None:
         raise ValueError(f"p must lie in (0, 1], got {p}")
 
 
+def _indicator_log_mgf_and_ratio(t: float, p: float):
+    return _to_indicator(*_log_mgf_and_ratio(t, p))
+
+
 def _family(name: str):
-    """(log-MGF, tilted mean, public tilt solve, moment mass) of a tilt family."""
+    """((Lambda, Lambda') from one moment pass, public tilt solve, moment mass) of a tilt family."""
     if name == "upper":
-        return log_mgf_pos, tilted_moment_ratio, chernoff_upper_exponent, 1.0
-    return log_mgf_indicator, indicator_tilted_moment_ratio, chernoff_indicator_exponent, 0.5
+        return _log_mgf_and_ratio, chernoff_upper_exponent, 1.0
+    return _indicator_log_mgf_and_ratio, chernoff_indicator_exponent, 0.5
 
 
-def _coefficient_stage(family: str, net: float, scale: float, p: float, cfg, quad, hint: float):
+def _coefficient_stage(family: str, net: float, scale: float, p: float, cfg, hint: float):
     """Smallest a with net + scale * min_t [ Lambda(t) - a t ] < 0 -> (a, t*).
 
     The exponent at a = Lambda'(t) is net - scale * I(t), so the boundary is
     the root I(t*) = net / scale and a steps a relative _SLACK past it.
     """
-    log_mgf, mean, _, _ = _family(family)
-    t_star = _solve_tilt(
-        lambda t: t * mean(t, p, quad) - log_mgf(t, p, quad), net / scale, cfg.t_max, cfg.t_tol, hint
-    )
-    return mean(t_star, p, quad) * (1.0 + _SLACK), t_star
+    log_mgf_and_ratio, _, _ = _family(family)
+
+    def rate(t):
+        log_mgf, mean = log_mgf_and_ratio(t, p)
+        return t * mean - log_mgf
+
+    t_star = _solve_tilt(rate, net / scale, cfg.t_max, cfg.t_tol, hint)
+    return log_mgf_and_ratio(t_star, p)[1] * (1.0 + _SLACK), t_star
 
 
-def _coefficient_detail(family: str, alpha: float, p: float, scale: float, cfg, quad) -> dict:
+def _coefficient_detail(family: str, alpha: float, p: float, scale: float, cfg) -> dict:
     """Best a / (1 - gamma^p) over the gamma grid, warm-starting each gamma's tilt."""
     _validate_alpha_p(alpha, p)
-    _, _, solve, mass = _family(family)
+    _, solve, mass = _family(family)
     mass *= abs_moment(p)
     best, hint = None, 1.0
     for gamma in cfg.gamma_grid:
         shrink = 1.0 - gamma**p
         if best is not None and mass / shrink >= best["value"]:
             continue  # a > mass always, so this gamma cannot win
-        a, hint = _coefficient_stage(family, _net_term(alpha, gamma), scale, p, cfg, quad, hint)
+        a, hint = _coefficient_stage(family, _net_term(alpha, gamma), scale, p, cfg, hint)
         if best is None or a / shrink < best["value"]:
             best = {"value": a / shrink, "gamma": gamma, "a": a, "t_opt": hint}
     if best is None:
         raise InfeasibleBoundError("empty gamma grid")
-    t_opt, val = solve(best["a"], p, cfg, quad, _hint=best["t_opt"])
+    t_opt, val = solve(best["a"], p, cfg, _hint=best["t_opt"])
     best.update(t_opt=t_opt, margin=_net_term(alpha, best["gamma"]) + scale * val)
     return best
 
 
-def _lambda_max_detail(alpha: float, p: float, cfg: ExponentSearchConfig, quad: QuadratureConfig) -> dict:
-    return _coefficient_detail("upper", alpha, p, 1.0, cfg, quad)
+def _lambda_max_detail(alpha: float, p: float, cfg: ExponentSearchConfig) -> dict:
+    return _coefficient_detail("upper", alpha, p, 1.0, cfg)
 
 
-def compute_lambda_max(
-    alpha: float,
-    p: float,
-    cfg: ExponentSearchConfig | None = None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def compute_lambda_max(alpha: float, p: float, cfg: ExponentSearchConfig | None = None) -> float:
     """High-probability upper bound on ||Bz||_p^p / n over the unit sphere."""
     cfg = cfg or ExponentSearchConfig.default(alpha)
-    return _lambda_max_detail(alpha, p, cfg, quad)["value"]
+    return _lambda_max_detail(alpha, p, cfg)["value"]
 
 
-def _lambda_min_detail(
-    alpha: float,
-    p: float,
-    cfg: ExponentSearchConfig,
-    quad: QuadratureConfig,
-    lambda_max: float | None = None,
-) -> dict:
+def _lambda_min_detail(alpha: float, p: float, cfg: ExponentSearchConfig, lambda_max: float | None = None) -> dict:
     _validate_alpha_p(alpha, p)
     if lambda_max is None:
-        lambda_max = _lambda_max_detail(alpha, p, cfg, quad)["value"]
+        lambda_max = _lambda_max_detail(alpha, p, cfg)["value"]
     best = None
     for gamma in cfg.gamma_grid:
         gp = gamma**p
@@ -362,7 +345,7 @@ def _lambda_min_detail(
             # pairs the loose bound rejects
             margin = net + mgf_neg_log_upper_bound(t, p) + 1.0
             if margin >= 0.0:
-                margin = net + math.log(mgf_neg(t, p, quad)) + 1.0
+                margin = net + math.log(mgf_neg(t, p)) + 1.0
                 if margin >= 0.0:
                     continue
             best = {"value": candidate, "gamma": gamma, "epsilon": eps, "t": t, "margin": margin}
@@ -371,27 +354,17 @@ def _lambda_min_detail(
             f"no feasible (gamma, eps) pair for alpha={alpha}, p={p}; refine the grids"
         )
     # report the exact exponent for the winner
-    best["margin"] = _net_term(alpha, best["gamma"]) + math.log(mgf_neg(best["t"], p, quad)) + 1.0
+    best["margin"] = _net_term(alpha, best["gamma"]) + math.log(mgf_neg(best["t"], p)) + 1.0
     return best
 
 
-def compute_lambda_min(
-    alpha: float,
-    p: float,
-    cfg: ExponentSearchConfig | None = None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def compute_lambda_min(alpha: float, p: float, cfg: ExponentSearchConfig | None = None) -> float:
     """High-probability lower bound on ||Bz||_p^p / n over the unit sphere."""
     cfg = cfg or ExponentSearchConfig.default(alpha)
-    return _lambda_min_detail(alpha, p, cfg, quad)["value"]
+    return _lambda_min_detail(alpha, p, cfg)["value"]
 
 
-def strong_bound(
-    alpha: float,
-    p: float,
-    cfg: ExponentSearchConfig | None = None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> BoundResult:
+def strong_bound(alpha: float, p: float, cfg: ExponentSearchConfig | None = None) -> BoundResult:
     """Sparsity-ratio bound for strong recovery at undersampling ratio alpha.
 
     Every support of size up to rho_bound * n satisfies the strong null-space
@@ -400,8 +373,8 @@ def strong_bound(
     """
     _validate_alpha_p(alpha, p)
     cfg = cfg or ExponentSearchConfig.default(alpha)
-    lam_max = _lambda_max_detail(alpha, p, cfg, quad)
-    lam_min = _lambda_min_detail(alpha, p, cfg, quad, lam_max["value"])
+    lam_max = _lambda_max_detail(alpha, p, cfg)
+    lam_min = _lambda_min_detail(alpha, p, cfg, lam_max["value"])
     mu = abs_moment(p)
     ln2 = math.log(2.0)
     best, hint = None, 1.0
@@ -414,20 +387,21 @@ def strong_bound(
         def gain(t):
             # net minus the stage exponent at rho(t); increasing in t, since
             # rho(t) falls and the exponent grows with rho below 1/2
-            rho = h / tilted_moment_ratio(t, p, quad)
-            return h * t - rho * log_mgf_pos(t, p, quad) - binary_entropy(rho) * ln2
+            log_mgf, mean = _log_mgf_and_ratio(t, p)
+            rho = h / mean
+            return h * t - rho * log_mgf - binary_entropy(rho) * ln2
 
         try:
             hint = _solve_tilt(gain, net, cfg.t_max, cfg.t_tol, hint)
         except UnboundedSearchError:
             continue  # the boundary tilt lies past t_max: nothing certified here
-        rho = h / tilted_moment_ratio(hint, p, quad) * (1.0 - _SLACK)
+        rho = h / tilted_moment_ratio(hint, p) * (1.0 - _SLACK)
         if best is None or rho > best["rho"]:
             best = {"rho": rho, "gamma": gamma, "h": h, "net": net, "t_opt": hint}
     if best is None:
         raise InfeasibleBoundError(f"no feasible sparsity ratio for alpha={alpha}, p={p}")
     rho = best["rho"]
-    t_opt, val = chernoff_upper_exponent(best["h"] / rho, p, cfg, quad, _hint=best["t_opt"])
+    t_opt, val = chernoff_upper_exponent(best["h"] / rho, p, cfg, _hint=best["t_opt"])
     best.update(t_opt=t_opt, margin=binary_entropy(rho) * ln2 + best["net"] + rho * val)
     overall_margin = max(best["margin"], lam_max["margin"], lam_min["margin"])
     return BoundResult(
@@ -451,32 +425,19 @@ def strong_bound(
     )
 
 
-def _lambda_tilde_detail(
-    alpha: float, p: float, rho: float, cfg: ExponentSearchConfig, quad: QuadratureConfig
-) -> dict:
+def _lambda_tilde_detail(alpha: float, p: float, rho: float, cfg: ExponentSearchConfig) -> dict:
     if not 0.0 < rho < alpha:
         raise ValueError(f"need 0 < rho < alpha, got rho={rho}, alpha={alpha}")
-    return _coefficient_detail("indicator", alpha, p, rho, cfg, quad)
+    return _coefficient_detail("indicator", alpha, p, rho, cfg)
 
 
-def compute_lambda_tilde_max(
-    alpha: float,
-    p: float,
-    rho: float,
-    cfg: ExponentSearchConfig | None = None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def compute_lambda_tilde_max(alpha: float, p: float, rho: float, cfg: ExponentSearchConfig | None = None) -> float:
     """Upper bound on the sign-mismatch sub-sum ||B_{T-}z||_p^p / (rho n)."""
     cfg = cfg or ExponentSearchConfig.default(alpha)
-    return _lambda_tilde_detail(alpha, p, rho, cfg, quad)["value"]
+    return _lambda_tilde_detail(alpha, p, rho, cfg)["value"]
 
 
-def weak_bound(
-    alpha: float,
-    p: float,
-    cfg: ExponentSearchConfig | None = None,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> BoundResult:
+def weak_bound(alpha: float, p: float, cfg: ExponentSearchConfig | None = None) -> BoundResult:
     """Sparsity-ratio bound for weak recovery (one support, one sign pattern).
 
     Bisects for the largest rho satisfying
@@ -496,11 +457,11 @@ def weak_bound(
 
     def predicate(rho: float) -> dict:
         alpha_prime = (alpha - rho) / (1.0 - rho)
-        info = {"rho": rho, "alpha_prime": alpha_prime, "lt": _lambda_tilde_detail(alpha, p, rho, cfg, quad)}
+        info = {"rho": rho, "alpha_prime": alpha_prime, "lt": _lambda_tilde_detail(alpha, p, rho, cfg)}
         evaluations.append(info)
         try:
-            info["lam_max"] = _lambda_max_detail(alpha_prime, p, cfg, quad)
-            info["lam_min"] = _lambda_min_detail(alpha_prime, p, cfg, quad, info["lam_max"]["value"])
+            info["lam_max"] = _lambda_max_detail(alpha_prime, p, cfg)
+            info["lam_min"] = _lambda_min_detail(alpha_prime, p, cfg, info["lam_max"]["value"])
         except (InfeasibleBoundError, UnboundedSearchError):
             info.update(infeasible=True, ok=False)
             return info

@@ -19,7 +19,6 @@ from .conditions import SearchBudget, SupportPattern, certify
 from .gaussian import abs_moment
 from .linalg import IllConditionedError, RngSeed, sample_gaussian_matrix
 from .solvers import (
-    IrlsConfig,
     RecoveryInstance,
     SolverError,
     lp_quasinorm,
@@ -252,15 +251,15 @@ def _sample_amplitudes(rng: np.random.Generator, size: int, model: str, nonnegat
     return amps
 
 
-def _solve_for(inst: RecoveryInstance, irls: IrlsConfig):
+def _solve_for(inst: RecoveryInstance):
     if inst.p == 1.0:
         return solve_l1(inst)
     if inst.p == 0.0:
         return solve_l0_exhaustive(inst)
-    return solve_lp_irls(inst, irls)
+    return solve_lp_irls(inst)
 
 
-def _phase_trial(spec: PhaseDiagramSpec, p: float, rho: float, pi: int, ri: int, trial: int, irls: IrlsConfig):
+def _phase_trial(spec: PhaseDiagramSpec, p: float, rho: float, pi: int, ri: int, trial: int):
     seed = spec.seed.child(pi, ri, trial)
     rng = seed.generator()
     size = max(1, int(round(rho * spec.n)))
@@ -271,7 +270,7 @@ def _phase_trial(spec: PhaseDiagramSpec, p: float, rho: float, pi: int, ri: int,
     record = {"trial": trial, "seed": seed.seed}
     try:
         inst = RecoveryInstance(A=A, y=A @ x_true, p=p, x_true=x_true)
-        result = _solve_for(inst, irls)
+        result = _solve_for(inst)
         record["recovered"] = bool(result.recovered)
         record["objective"] = result.objective
         record["converged"] = result.converged
@@ -281,16 +280,13 @@ def _phase_trial(spec: PhaseDiagramSpec, p: float, rho: float, pi: int, ri: int,
     return record
 
 
-def run_phase_transition(
-    spec: PhaseDiagramSpec,
-    irls: IrlsConfig = IrlsConfig(),
-) -> ExperimentReport:
+def run_phase_transition(spec: PhaseDiagramSpec) -> ExperimentReport:
     """Recovery success rate over a (p, rho) grid; deterministic per seed."""
     start = time.monotonic()
     points = []
     for pi, p in enumerate(spec.p_list):
         for ri, rho in enumerate(spec.rho_grid):
-            records = [_phase_trial(spec, p, rho, pi, ri, trial, irls) for trial in range(spec.trials_per_point)]
+            records = [_phase_trial(spec, p, rho, pi, ri, trial) for trial in range(spec.trials_per_point)]
             successes = sum(1 for r in records if r.get("recovered"))
             points.append(
                 {
@@ -311,7 +307,7 @@ def run_phase_transition(
     )
 
 
-def _strong_vs_weak_point(n, m, p, rho, mode, mi, pi, ri, vectors, seed, irls):
+def _strong_vs_weak_point(n, m, p, rho, mode, mi, pi, ri, vectors, seed):
     matrix_seed = seed.child(0 if mode == "strong" else 1, mi)
     A = sample_gaussian_matrix(m, n, matrix_seed)
     size = max(1, int(round(rho * n)))
@@ -327,7 +323,7 @@ def _strong_vs_weak_point(n, m, p, rho, mode, mi, pi, ri, vectors, seed, irls):
             x_true[support] = _sample_amplitudes(rng, size, "spike_mixture", nonnegative=False)
         try:
             inst = RecoveryInstance(A=A, y=A @ x_true, p=p, x_true=x_true)
-            result = _solve_for(inst, irls)
+            result = _solve_for(inst)
             ok = bool(result.recovered)
         except (SolverError, IllConditionedError):
             ok = False
@@ -345,7 +341,6 @@ def run_strong_vs_weak(
     matrices: int,
     vectors_per_point: int,
     seed: RngSeed,
-    irls: IrlsConfig = IrlsConfig(),
 ) -> ExperimentReport:
     """Strong- versus weak-recovery comparison on a shared matrix ensemble.
 
@@ -363,7 +358,7 @@ def run_strong_vs_weak(
         for pi, p in enumerate(p_list):
             for ri, rho in enumerate(rho_grid):
                 records = [
-                    _strong_vs_weak_point(n, m, p, rho, mode, mi, pi, ri, vectors_per_point, seed, irls)
+                    _strong_vs_weak_point(n, m, p, rho, mode, mi, pi, ri, vectors_per_point, seed)
                     for mi in range(matrices)
                 ]
                 rate = sum(1 for r in records if r["all_recovered"]) / matrices

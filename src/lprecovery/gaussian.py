@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .quadrature import integrate
 
 __all__ = [
     "abs_moment",
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# Semi-infinite integrals stop this many standard deviations out (scaled up
+# when a tilt moves the integrand's peak away from the origin).
+_TAIL_CUTOFF_SIGMA = 12.0
 
 
 def _origin_ladder(head: float, floor: float = 1e-14, factor: float = 4.0):
@@ -76,14 +79,14 @@ def _tilt_peak(t: float, p: float) -> float:
     return (p * t) ** (1.0 / (2.0 - p))
 
 
-def _tilt_upper(t: float, p: float, cfg: QuadratureConfig) -> float:
-    return cfg.tail_cutoff_sigma * max(1.0, t ** (1.0 / (2.0 - p))) if t > 0 else cfg.tail_cutoff_sigma
+def _tilt_upper(t: float, p: float) -> float:
+    return _TAIL_CUTOFF_SIGMA * max(1.0, t ** (1.0 / (2.0 - p))) if t > 0 else _TAIL_CUTOFF_SIGMA
 
 
 _BUMP_STEPS = (-26.0, -18.0, -12.0, -8.0, -5.0, -3.0, -1.5, -0.5, 0.5, 1.5, 3.0, 5.0, 8.0, 12.0, 18.0, 26.0)
 
 
-def _tilted_moments(t: float, p: float, cfg: QuadratureConfig, order: int):
+def _tilted_moments(t: float, p: float, order: int):
     """Tilted moments integral_0^U x^(j p) exp(t x^p - x^2/2 - g_max) dx, j = 0..order.
 
     One quadrature pass evaluates every moment on the same nodes.  Returns
@@ -103,7 +106,7 @@ def _tilted_moments(t: float, p: float, cfg: QuadratureConfig, order: int):
         # is below 1e-300, so narrow limits lose nothing.  Moment j is
         # peak^(j p) times the integral of (x / peak)^(j p).
         tpow = t * peak**p
-        span = 2.5 * cfg.tail_cutoff_sigma * width
+        span = 2.5 * _TAIL_CUTOFF_SIGMA * width
         lo, hi, unit = max(-peak, -span), span, peak**p
         pts = [width * k for k in _BUMP_STEPS]
 
@@ -112,7 +115,7 @@ def _tilted_moments(t: float, p: float, cfg: QuadratureConfig, order: int):
             return np.exp(tpow * np.expm1(p * log_ratio) - peak * s - 0.5 * s * s), np.exp(p * log_ratio)
 
     else:
-        lo, hi, unit = 0.0, _tilt_upper(t, p, cfg), 1.0
+        lo, hi, unit = 0.0, _tilt_upper(t, p), 1.0
         # a geometric ladder resolves the x^p cusp at the origin
         if peak > 0:
             bump = [peak + width * k for k in _BUMP_STEPS]
@@ -128,27 +131,47 @@ def _tilted_moments(t: float, p: float, cfg: QuadratureConfig, order: int):
         val, xp = density_and_power(x)
         return np.stack([val * xp**j for j in range(order + 1)]) if order else val
 
-    value = integrate(integrand, lo, hi, cfg, points=tuple(pts))
+    value = integrate(integrand, lo, hi, points=tuple(pts))
     if order:
         value = value * unit ** np.arange(order + 1)
     return value, g_max
 
 
-def log_mgf_pos(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def _log_mgf_and_ratio(t: float, p: float):
+    """(log mgf_pos, tilted_moment_ratio) at t from one order-1 moment pass.
+
+    Both moments share the factored peak, so it cancels from the ratio and
+    m0 with g_max rebuilds the logarithm.
+    """
+    (m0, m1), g_max = _tilted_moments(t, p, 1)
+    return math.log(_SQRT_2_OVER_PI) + g_max + math.log(m0), m1 / m0
+
+
+def _to_indicator(log_mgf: float, ratio: float = 0.0):
+    """The sign-mismatch family's (log-MGF, tilted mean) from the positive one's.
+
+    E e^{t|X|^p S} = (1 + mgf_pos) / 2 gives log((1 + e^L) / 2), and its
+    derivative is the positive ratio times w = 1 / (1 + e^{-L}): the mass
+    1/2 on S = 0 is discounted.
+    """
+    return np.logaddexp(log_mgf, 0.0) - math.log(2.0), ratio / (1.0 + math.exp(-log_mgf))
+
+
+def log_mgf_pos(t: float, p: float) -> float:
     """log E[exp(t |X|^p)].  Stable for large t via peak factoring."""
     _check_exponent(p)
     if t < 0 and p < 1.0:
         raise ValueError("mgf_pos requires t >= 0 for p < 1")
-    value, g_max = _tilted_moments(t, p, cfg, 0)
+    value, g_max = _tilted_moments(t, p, 0)
     return math.log(_SQRT_2_OVER_PI) + g_max + math.log(value)
 
 
-def mgf_pos(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def mgf_pos(t: float, p: float) -> float:
     """E[exp(t |X|^p)]; at least 1 and strictly increasing in t."""
-    return math.exp(log_mgf_pos(t, p, cfg))
+    return math.exp(log_mgf_pos(t, p))
 
 
-def mgf_neg(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def mgf_neg(t: float, p: float) -> float:
     """E[exp(-t |X|^p)] in (0, 1) for t > 0.
 
     For large t the mass concentrates on the scale x ~ t^{-1/p}; a ladder of
@@ -157,7 +180,7 @@ def mgf_neg(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> f
     _check_exponent(p)
     if not t > 0:
         raise ValueError(f"mgf_neg requires t > 0, got {t}")
-    upper = cfg.tail_cutoff_sigma
+    upper = _TAIL_CUTOFF_SIGMA
 
     def integrand(x):
         return _SQRT_2_OVER_PI * np.exp(-t * np.power(x, p) - 0.5 * x * x)
@@ -168,7 +191,7 @@ def mgf_neg(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> f
     while step < upper:
         pts.append(step)
         step *= 4.0
-    return integrate(integrand, 0.0, upper, cfg, points=tuple(pts))
+    return integrate(integrand, 0.0, upper, points=tuple(pts))
 
 
 def mgf_neg_log_upper_bound(t: float, p: float) -> float:
@@ -183,30 +206,22 @@ def mgf_neg_log_upper_bound(t: float, p: float) -> float:
     return -math.log(t) / p + 0.5 * math.log(2.0 / math.pi) + math.lgamma(1.0 / p) - math.log(p)
 
 
-def log_mgf_indicator(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def log_mgf_indicator(t: float, p: float) -> float:
     """log E[exp(t |X|^p S)] with S ~ Bernoulli(1/2) independent of |X|."""
-    lm = log_mgf_pos(t, p, cfg)
-    return np.logaddexp(lm, 0.0) - math.log(2.0)
+    return _to_indicator(log_mgf_pos(t, p))[0]
 
 
-def tilted_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def tilted_moment_ratio(t: float, p: float) -> float:
     """d/dt log mgf_pos: the mean of |X|^p under the exponentially tilted law.
 
     Equals the stationarity ratio of the positive-tilt Chernoff objective,
     so optimizer residuals can be checked without finite differences.
     """
     _check_exponent(p)
-    (m0, m1), _ = _tilted_moments(t, p, cfg, 1)
-    # both moments share the same factored peak, so it cancels
-    return m1 / m0
+    return _log_mgf_and_ratio(t, p)[1]
 
 
-def indicator_tilted_moment_ratio(t: float, p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """d/dt log_mgf_indicator = w * d/dt log mgf_pos, w = 1 / (1 + 1/mgf_pos).
-
-    The indicator law puts mass 1/2 on S = 0, which the weight w discounts.
-    """
+def indicator_tilted_moment_ratio(t: float, p: float) -> float:
+    """d/dt log_mgf_indicator = w * d/dt log mgf_pos, w = 1 / (1 + 1/mgf_pos)."""
     _check_exponent(p)
-    (m0, m1), g_max = _tilted_moments(t, p, cfg, 1)
-    log_mgf = math.log(_SQRT_2_OVER_PI) + g_max + math.log(m0)
-    return (m1 / m0) / (1.0 + math.exp(-log_mgf))
+    return _to_indicator(*_log_mgf_and_ratio(t, p))[1]

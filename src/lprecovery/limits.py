@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammaincinv
 
-from .gaussian import _SQRT_2_OVER_PI, abs_moment
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .gaussian import _SQRT_2_OVER_PI, _TAIL_CUTOFF_SIGMA, abs_moment
+from .quadrature import integrate
 
 __all__ = [
     "LimitThreshold",
@@ -53,64 +53,64 @@ class LimitThreshold:
     residual: float
 
 
-def _upper_truncated_moment(z: float, p: float, cfg: QuadratureConfig) -> float:
-    """integral_z^U x^p f(x) dx with U the configured tail cutoff."""
-    upper = cfg.tail_cutoff_sigma
+def _upper_truncated_moment(z: float, p: float) -> float:
+    """integral_z^U x^p f(x) dx with U the tail cutoff."""
+    upper = _TAIL_CUTOFF_SIGMA
     if z >= upper:
         return 0.0
 
     def integrand(x):
         return np.power(x, p) * _SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
 
-    return integrate(integrand, z, upper, cfg)
+    return integrate(integrand, z, upper)
 
 
-def _solve_z_star(p: float, cfg: QuadratureConfig):
+def _solve_z_star(p: float):
     """Closed-form split point and the quadrature residual that re-checks it."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     z = math.sqrt(2.0 * gammaincinv(0.5 * (p + 1.0), 0.5))
-    residual = abs(abs_moment(p) - 2.0 * _upper_truncated_moment(z, p, cfg))
+    residual = abs(abs_moment(p) - 2.0 * _upper_truncated_moment(z, p))
     if residual > _RESIDUAL_TOL:
         raise RuntimeError(f"split-point residual {residual:.2e} above {_RESIDUAL_TOL}")
     return z, residual
 
 
-def solve_z_star(p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def solve_z_star(p: float) -> float:
     """Split point z* of the half-moment equation for exponent p."""
-    return _solve_z_star(p, cfg)[0]
+    return _solve_z_star(p)[0]
 
 
-def _threshold_derivative(z: float, p: float, cfg: QuadratureConfig) -> float:
+def _threshold_derivative(z: float, p: float) -> float:
     """d(rho*)/dp at split point z: (full - 2 upper) / (2 z^p).
 
     full = integral_0^inf x^p log(x) f = d E[|X|^p] / dp has the closed form
     E[|X|^p] (log 2 + psi((p+1)/2)) / 2; upper is the same integral over
     [z, U], by quadrature.
     """
-    upper = cfg.tail_cutoff_sigma
+    upper = _TAIL_CUTOFF_SIGMA
 
     def integrand(x):
         return np.power(x, p) * np.log(x) * _SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
 
     full = abs_moment(p) * 0.5 * (math.log(2.0) + float(digamma(0.5 * (p + 1.0))))
-    upper_part = integrate(integrand, z, upper, cfg, points=(min(z + 1.0, upper * 0.999),))
+    upper_part = integrate(integrand, z, upper, points=(min(z + 1.0, upper * 0.999),))
     return (full - 2.0 * upper_part) / (2.0 * z**p)
 
 
-def strong_threshold_derivative(p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def strong_threshold_derivative(p: float) -> float:
     """Closed-form d(rho*)/dp; strictly negative on (0, 1]."""
-    return _threshold_derivative(solve_z_star(p, cfg), p, cfg)
+    return _threshold_derivative(solve_z_star(p), p)
 
 
-def strong_limit_threshold(p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> LimitThreshold:
+def strong_limit_threshold(p: float) -> LimitThreshold:
     """Strong limiting threshold rho*(p) = 1 - F(z*(p)) = erfc(z*(p) / sqrt(2))."""
-    z, residual = _solve_z_star(p, cfg)
+    z, residual = _solve_z_star(p)
     return LimitThreshold(
         p=p,
         z_star=z,
         rho_star=math.erfc(z / math.sqrt(2.0)),
-        derivative=_threshold_derivative(z, p, cfg),
+        derivative=_threshold_derivative(z, p),
         residual=residual,
     )
 

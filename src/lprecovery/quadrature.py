@@ -19,17 +19,15 @@ __all__ = ["QuadratureConfig", "QuadratureError", "integrate", "DEFAULT_QUADRATU
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and limits for the adaptive quadrature.
+    """Tolerances and panel budget of :func:`integrate`.
 
-    ``tail_cutoff_sigma`` is the truncation point of semi-infinite integrals
-    in standard deviations; callers scale it when the integrand peaks away
-    from the origin.
+    Every integral of the package runs at the defaults; a caller passes its
+    own config only to ``integrate`` itself.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 512
-    tail_cutoff_sigma: float = 12.0
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
@@ -38,8 +36,6 @@ class QuadratureConfig:
             raise ValueError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if not self.tail_cutoff_sigma >= 8:
-            raise ValueError("tail_cutoff_sigma must be at least 8")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -29,7 +29,6 @@ from .linalg import IllConditionedError, min_norm_weighted_solve, read_matrix_cs
 __all__ = [
     "RecoveryInstance",
     "SolverResult",
-    "IrlsConfig",
     "SolverError",
     "BudgetExceededError",
     "lp_quasinorm",
@@ -43,6 +42,13 @@ __all__ = [
 
 RECOVERY_TOL = 1e-4
 _ZERO_REL_TOL = 1e-12
+
+# the smoothing schedule of solve_lp_irls
+_IRLS_EPS_INIT = 1.0
+_IRLS_EPS_FLOOR = 1e-8
+_IRLS_EPS_SHRINK = 0.1
+_IRLS_INNER_TOL = 1e-9
+_IRLS_MAX_OUTER = 500
 
 
 class SolverError(RuntimeError):
@@ -88,25 +94,6 @@ class SolverResult:
 
     def check_feasibility(self, inst: RecoveryInstance) -> float:
         return float(np.linalg.norm(inst.A @ self.x_hat - inst.y))
-
-
-@dataclass(frozen=True)
-class IrlsConfig:
-    """Smoothing schedule for the reweighted least-squares solver."""
-
-    epsilon_init: float = 1.0
-    epsilon_floor: float = 1e-8
-    epsilon_shrink: float = 0.1
-    inner_tol: float = 1e-9
-    max_outer: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.epsilon_init > self.epsilon_floor > 0:
-            raise ValueError("need epsilon_init > epsilon_floor > 0")
-        if not 0.0 < self.epsilon_shrink < 1.0:
-            raise ValueError("epsilon_shrink must lie in (0, 1)")
-        if not (self.inner_tol > 0 and self.max_outer >= 1):
-            raise ValueError("inner_tol must be positive, max_outer >= 1")
 
 
 def lp_quasinorm(x: np.ndarray, p: float) -> float:
@@ -182,12 +169,14 @@ def _smoothed_objective(x: np.ndarray, eps: float, p: float) -> float:
     return float(np.sum((x * x + eps * eps) ** (p / 2.0)))
 
 
-def solve_lp_irls(inst: RecoveryInstance, cfg: IrlsConfig = IrlsConfig()) -> SolverResult:
+def solve_lp_irls(inst: RecoveryInstance) -> SolverResult:
     """Local minimum of ||x||_p^p subject to A x = y, for 0 < p < 1.
 
     Each outer step solves a weighted minimum-norm problem with weights
-    (x_i^2 + eps^2)^{p/2-1}; eps shrinks by ``epsilon_shrink`` whenever the
-    iterate stalls (||dx|| <= sqrt(eps)/100).  Converged means the iterate
+    (x_i^2 + eps^2)^{p/2-1}.  The smoothing eps starts at 1 and shrinks
+    tenfold whenever the iterate stalls (||dx|| <= sqrt(eps)/100), down to a
+    floor of 1e-8; steps and objective increases are judged against 1e-9,
+    and at most 500 reweighted solves run.  Converged means the iterate
     stopped moving at the smoothing floor.  No global optimality is claimed.
     """
     if not 0.0 < inst.p < 1.0:
@@ -201,11 +190,11 @@ def solve_lp_irls(inst: RecoveryInstance, cfg: IrlsConfig = IrlsConfig()) -> Sol
     scale = float(np.linalg.norm(inst.y))
     y = inst.y / scale
     x = min_norm_weighted_solve(A, y, np.ones(n))
-    eps = cfg.epsilon_init
+    eps = _IRLS_EPS_INIT
     smoothed = _smoothed_objective(x, eps, p)
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_outer + 1):
+    for iterations in range(1, _IRLS_MAX_OUTER + 1):
         w = (x * x + eps * eps) ** (p / 2.0 - 1.0)
         try:
             x_new = min_norm_weighted_solve(A, y, w)
@@ -216,19 +205,19 @@ def solve_lp_irls(inst: RecoveryInstance, cfg: IrlsConfig = IrlsConfig()) -> Sol
             break
         step = float(np.linalg.norm(x_new - x))
         new_smoothed = _smoothed_objective(x_new, eps, p)
-        if new_smoothed > smoothed + cfg.inner_tol:
+        if new_smoothed > smoothed + _IRLS_INNER_TOL:
             # reweighting is a descent scheme for fixed eps; a genuine
             # increase signals numerical trouble, keep the old iterate
             x_new, new_smoothed = x, smoothed
         x, smoothed = x_new, new_smoothed
-        at_floor = eps <= cfg.epsilon_floor * (1.0 + 1e-12)
-        if step <= cfg.inner_tol * max(1.0, float(np.linalg.norm(x))) and at_floor:
+        at_floor = eps <= _IRLS_EPS_FLOOR * (1.0 + 1e-12)
+        if step <= _IRLS_INNER_TOL * max(1.0, float(np.linalg.norm(x))) and at_floor:
             converged = True
             break
         if step <= math.sqrt(eps) / 100.0 and not at_floor:
-            eps = max(eps * cfg.epsilon_shrink, cfg.epsilon_floor)
+            eps = max(eps * _IRLS_EPS_SHRINK, _IRLS_EPS_FLOOR)
             smoothed = _smoothed_objective(x, eps, p)
-    x = _debias_on_support(A, y, x, p, cfg.inner_tol)
+    x = _debias_on_support(A, y, x, p, _IRLS_INNER_TOL)
     x = scale * x
     return _finish(inst, x, lp_quasinorm(x, p), iterations, converged)
 

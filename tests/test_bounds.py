@@ -233,6 +233,20 @@ def test_config_validation():
         B.weak_bound(0.9, 0.0)
 
 
+def test_degenerate_search_configs_are_rejected():
+    for points in ({"gamma_points": 0}, {"epsilon_points": 0}, {"gamma_points": -3}):
+        with pytest.raises(ValueError, match="at least one point"):
+            B.ExponentSearchConfig.default(0.9, **points)
+    with pytest.raises(ValueError, match="t_max"):
+        B.ExponentSearchConfig(t_max=0.0)
+    with pytest.raises(ValueError, match="t_max"):
+        B.ExponentSearchConfig(t_max=-1.0)
+    with pytest.raises(ValueError, match="rho_grid_resolution"):
+        B.ExponentSearchConfig(rho_grid_resolution=0)
+    # a bare config keeps its empty grids: the public tilt solves need none
+    assert B.ExponentSearchConfig().gamma_grid == ()
+
+
 def _tilt_family(family):
     if family == "upper":
         return B.chernoff_upper_exponent, log_mgf_pos, tilted_moment_ratio, 1.0
@@ -367,3 +381,41 @@ def test_weak_bound_rejects_an_infeasible_rho_below_a_certified_one(monkeypatch)
     monkeypatch.setattr(B, "_lambda_min_detail", patched)
     with pytest.raises(B.MonotonicityError, match="infeasible below the certified"):
         B.weak_bound(alpha, p, cfg)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cfg: B.compute_lambda_max(0.9, 0.5, cfg),
+        lambda cfg: B.compute_lambda_tilde_max(0.9, 0.5, 0.1, cfg),
+        lambda cfg: B.strong_bound(0.9, 0.5, cfg),
+    ],
+    ids=["upper", "indicator", "strong-rho"],
+)
+def test_one_moment_pass_per_rate_evaluation(monkeypatch, run):
+    # every function a tilt root is taken of (the rate I(t) = t Lambda' - Lambda
+    # of either family, the strong rho stage's gain, the tilted mean) makes
+    # exactly one gaussian._tilted_moments pass per evaluation
+    from lprecovery import gaussian
+
+    passes, per_evaluation = [0], []
+    tilted_moments, solve_tilt = gaussian._tilted_moments, B._solve_tilt
+
+    def counted_moments(*args):
+        passes[0] += 1
+        return tilted_moments(*args)
+
+    def counted_solve(fn, *args):
+        def counted(t):
+            before = passes[0]
+            value = fn(t)
+            per_evaluation.append(passes[0] - before)
+            return value
+
+        return solve_tilt(counted, *args)
+
+    monkeypatch.setattr(gaussian, "_tilted_moments", counted_moments)
+    monkeypatch.setattr(B, "_solve_tilt", counted_solve)
+    run(_record_config(0.9))
+    assert len(per_evaluation) > 20
+    assert set(per_evaluation) == {1}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -177,6 +178,32 @@ def test_byte_identical_artifacts(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["threshold", "strong-limit", "--p", "0.5"],
+            "a501bd2ddfb9e36bed52e90a277d4caf92a780b78df09cdfbf691c7872c66e0d",
+        ),
+        (
+            ["threshold", "strong-bound", "--alpha", "0.9", "--p", "0.5", "--gamma-points", "8",
+             "--epsilon-points", "4"],
+            "71f190efbe087c98837daddf679dc317b795ff99ed61b5dd8d46eb6dc92ee9ed",
+        ),
+        (
+            ["threshold", "weak-bound", "--alpha", "0.9", "--p", "0.3", "--gamma-points", "4",
+             "--epsilon-points", "3", "--a-tol", "1e-3"],
+            "474554ee18aaa104f3fefc746924f25f47c98afa53ff6046cbaea883503b4fdf",
+        ),
+    ],
+)
+def test_threshold_artifacts_are_pinned(capsys, argv, digest):
+    # SHA-256 of the stdout artifact, frozen so numerics refactors cannot move a byte
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_experiment_has_no_workers_option(tmp_path, capsys):
     spec = tmp_path / "phase.json"
     spec.write_text(
@@ -243,6 +270,15 @@ def test_numerical_errors_exit_two(capsys):
     )
     assert code == 2
     assert "numerical error" in err
+
+
+@pytest.mark.parametrize("command", ["strong-bound", "weak-bound"])
+@pytest.mark.parametrize("grid", ["--gamma-points", "--epsilon-points"])
+def test_empty_search_grids_are_usage_errors(capsys, command, grid):
+    code, out, err = run_cli(capsys, "threshold", command, "--alpha", "0.9", "--p", "0.5", grid, "0")
+    assert code == 1
+    assert out == ""
+    assert "invalid parameter" in err and "at least one point" in err
 
 
 def test_a_tol_only_on_weak_bound(capsys):

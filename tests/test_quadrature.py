@@ -48,9 +48,6 @@ def test_config_validation():
         QuadratureConfig(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tail_cutoff_sigma=4.0)
-    assert DEFAULT_QUADRATURE.tail_cutoff_sigma >= 8
 
 
 def test_duplicate_break_points_are_harmless():

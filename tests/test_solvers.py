@@ -124,10 +124,6 @@ def test_irls_zero_measurements():
 
 def test_irls_config_validation():
     with pytest.raises(ValueError):
-        sv.IrlsConfig(epsilon_init=1e-9, epsilon_floor=1e-8)
-    with pytest.raises(ValueError):
-        sv.IrlsConfig(epsilon_shrink=1.5)
-    with pytest.raises(ValueError):
         sv.solve_lp_irls(sv.RecoveryInstance(A=np.eye(2)[:1], y=np.ones(1), p=1.0))
 
 
@@ -153,10 +149,9 @@ def test_irls_on_the_denser_global_minimum():
 def test_irls_smoothed_objective_never_increases():
     # instrumented rerun of the outer iteration on a moderate instance
     inst = seeded_sparse_instance(777, m=20, n=40, sparsity=3, p=0.5)
-    cfg = sv.IrlsConfig()
     A, y, p = inst.A, inst.y / np.linalg.norm(inst.y), inst.p
     x = la.min_norm_weighted_solve(A, y, np.ones(40))
-    eps = cfg.epsilon_init
+    eps = sv._IRLS_EPS_INIT
     history = []
     for _ in range(60):
         w = (x * x + eps * eps) ** (p / 2.0 - 1.0)
@@ -167,8 +162,8 @@ def test_irls_smoothed_objective_never_increases():
         step = np.linalg.norm(x_new - x)
         x = x_new
         if step <= math.sqrt(eps) / 100.0:
-            eps = max(eps * cfg.epsilon_shrink, cfg.epsilon_floor)
-    assert max(history) <= cfg.inner_tol
+            eps = max(eps * sv._IRLS_EPS_SHRINK, sv._IRLS_EPS_FLOOR)
+    assert max(history) <= sv._IRLS_INNER_TOL
 
 
 def test_irls_monte_carlo_recovery_rate():
