@@ -29,20 +29,22 @@ a = Lambda'(t) the inner minimum min_s [ Lambda(s) - a s ] is -I(t), with
 I(t) = t Lambda'(t) - Lambda(t) increasing from I(0) = 0, so the smallest
 feasible coefficient of a lambda stage is the root of I(t) = net / scale,
 and the strong sparsity ratio rho(t) = h / Lambda'(t) turns the rho stage
-into a root in t as well.  Each root is bracketed geometrically from a warm
-start (the root at the previous gamma) and solved by brentq.  The winning
-coefficient is re-certified by a public tilt solve, whose exponent is the
-objective evaluated exactly at the returned tilt; that bounds the minimum
-from above, so search precision only affects tightness.
+into a root in t as well.  Each root is solved from a warm start (the root
+at the previous gamma) by a safeguarded secant in log t on the log of the
+function's rise from t = 0, stopped on a bracket of evaluated signs
+(``_solve_tilt``).  The
+winning coefficient is re-certified by a public tilt solve, whose exponent
+is the objective evaluated exactly at the returned tilt; that bounds the
+minimum from above, so search precision only affects tightness.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .gaussian import (
     _log_mgf_and_ratio,
@@ -77,6 +79,13 @@ __all__ = [
 # its margin is about -_SLACK * scale * a * t*; since t Lambda'(t) >= Lambda(t),
 # that is at least 1000x the quadrature rel_tol (1e-10) on Lambda.
 _SLACK = 1e-7
+_LOG_4 = math.log(4.0)
+# relative floor of the final tilt bracket, in units of t
+_REL_TOL = 4.0 * sys.float_info.epsilon
+# interpolated tilt steps allowed before the root is bracketed; later ones grow the bracket
+_EXTRAPOLATION_BUDGET = 32
+# a public tilt solve subtracts the moment from the tilted mean below this multiple of it
+_NEAR_MOMENT = 1.5
 
 
 class BoundSearchError(RuntimeError):
@@ -101,11 +110,12 @@ class ExponentSearchConfig:
 
     ``t_max`` caps the tilt t; a stationarity root beyond it raises
     :class:`UnboundedSearchError`.  ``t_tol`` is the widest final bracket
-    on the tilt root: the returned t lies within ``t_tol`` of the point
-    where the tilted mean equals the coefficient.  ``a_tol`` and
-    ``rho_grid_resolution`` serve only ``weak_bound``'s bisection on rho:
-    its tolerance, and the smallest sparsity fraction probed when
-    bracketing (alpha / resolution).
+    of evaluated signs on a tilt root (plus 4 ulps of t): the returned t,
+    an end of that bracket, lies within ``t_tol`` of the point where the
+    tilted mean equals the coefficient, whatever the warm start.
+    ``a_tol`` and ``rho_grid_resolution`` serve only ``weak_bound``'s
+    bisection on rho: its tolerance, and the smallest sparsity fraction
+    probed when bracketing (alpha / resolution).
     """
 
     gamma_grid: tuple = field(default_factory=tuple)
@@ -122,8 +132,8 @@ class ExponentSearchConfig:
             raise ValueError("gamma grid must be sorted ascending")
         if not (self.t_tol > 0 and self.a_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if not self.rho_grid_resolution >= 1:
             raise ValueError(f"rho_grid_resolution must be at least 1, got {self.rho_grid_resolution}")
 
@@ -188,45 +198,99 @@ def binary_entropy(rho: float) -> float:
     return -rho * math.log2(rho) - (1.0 - rho) * math.log2(1.0 - rho)
 
 
-def _solve_tilt(fn, target: float, t_max: float, t_tol: float, hint: float) -> float:
+def _solve_tilt(
+    fn, target: float, t_max: float, t_tol: float, hint: float, slope: float = 1.0, floor: float = 0.0
+) -> float:
     """Root of fn(t) = target on (0, t_max] for any increasing fn below target at 0+.
 
-    A bracket grown by factors of 4 from ``hint`` (a warm start, or a cold
-    guess) holds the root; brentq then narrows it to at most ``t_tol``.
+    Every tilt function here is close to a power of t, at least once its
+    value at 0+ is subtracted, so the solve works on y = log((fn - floor) /
+    (target - floor)) against u = log t; ``floor`` is 0, or fn(0+) >= 0
+    where the caller knows it, and an fn at or below it only tells the side
+    of the root.  The first step from ``hint`` (a warm start, or a cold
+    guess) takes ``slope`` as the log-slope of fn; later steps interpolate
+    u(y) at y = 0 through the current and the last one or two evaluations
+    with a finite y, as far as u and y rise together (secant, then inverse
+    quadratic).  Safeguards: no step moves t by more than a factor of 4.
+    Once evaluations bracket the root, a step that leaves the bracket or is
+    not under half the step before last is a geometric bisection; before
+    that, a step that leaves the known side, comes when |y| has not halved
+    since two evaluations back, or exceeds ``_EXTRAPOLATION_BUDGET`` such
+    steps, is a factor-4 step.
+
+    The solve stops once the bracket is at most ``t_tol`` wide (plus 4 ulps
+    of t) and returns its end nearer the root, so the result lies within
+    ``t_tol`` of the root whatever the hint, a root in (0, ``t_tol``]
+    included.  A root past ``t_max`` raises :class:`UnboundedSearchError`.
     """
-    known = {}
+    lo, hi, y_lo, y_hi = 0.0, math.inf, -math.inf, math.inf  # fn(lo) <= target < fn(hi)
+    t, extrapolations = min(hint, t_max), 0
+    points = []  # (log t, y) of the last two evaluations with a finite y
+    ys = [None, None]  # y two evaluations back and one back
+    steps = [math.inf, math.inf]  # |change in log t| of the step before last and the last
+    while True:
+        f = fn(t)
+        excess = (f - target) / (target - floor)
+        y = math.log1p(excess) if excess > -1.0 else -math.inf
+        if excess > 0.0:
+            hi, y_hi = t, y
+        else:
+            lo, y_lo = t, y
+        if hi < math.inf and hi - lo <= t_tol + _REL_TOL * hi:
+            return hi if abs(y_hi) <= abs(y_lo) else lo
+        if lo >= t_max:
+            raise UnboundedSearchError(f"tilt root exceeds t_max={t_max:g}")
+        if y == -math.inf:
+            move = _LOG_4  # fn at or below its floor: only the side is known
+        else:
+            # interpolate u(y) at y = 0 through an increasing run of the last
+            # finite evaluations, taken relative to the current one
+            u = math.log(t)
+            earlier = [(v - u, z) for v, z in points]
+            points = points[-1:] + [(u, y)]
+            move = -y * (f - floor) / (slope * f)
+            if earlier and earlier[-1][0] * (earlier[-1][1] - y) > 0.0:
+                db, yb = earlier[-1]
+                move = -y * db / (yb - y)
+                if len(earlier) == 2:
+                    da, ya = earlier[0]
+                    if da * (ya - y) > 0.0 and (da - db) * (ya - yb) > 0.0:
+                        move = y * (da * yb / ((ya - yb) * (ya - y)) + db * ya / ((yb - ya) * (yb - y)))
+        t_new = t * math.exp(min(max(move, -_LOG_4), _LOG_4))
+        half_tol = 0.5 * (t_tol + _REL_TOL * t)
+        if abs(t_new - t) < half_tol:
+            # a step under half the tolerance crosses the root by half the tolerance instead
+            t_new = t + half_tol if t == lo else t - half_tol
+        if 0.0 < lo and hi < math.inf:
+            if not (lo < t_new < hi and abs(math.log(t_new / t)) < 0.5 * steps[0]):
+                t_new = math.sqrt(lo * hi)
+        elif (
+            lo < t_new < hi
+            and extrapolations < _EXTRAPOLATION_BUDGET
+            and (ys[0] is None or abs(y) < 0.5 * abs(ys[0]))
+        ):
+            extrapolations += 1
+        else:
+            t_new = 4.0 * t if t == lo else 0.25 * t
+        steps, ys = [steps[1], abs(math.log(t_new / t))], [ys[1], y]
+        t = min(t_new, t_max)
 
-    def excess(t):
-        if t not in known:
-            known[t] = fn(t) - target
-        return known[t]
 
-    lo = hi = min(hint, t_max)
-    if excess(hi) > 0.0:
-        lo = hi / 4.0
-        while excess(lo) > 0.0:
-            if lo <= t_tol:
-                return lo  # the root lies in (0, lo]
-            hi, lo = lo, lo / 4.0
-    else:
-        while excess(hi) <= 0.0:
-            if hi >= t_max:
-                raise UnboundedSearchError(f"tilt bracket exceeded t_max={t_max:g}")
-            lo, hi = hi, min(4.0 * hi, t_max)
-    return brentq(excess, lo, hi, xtol=t_tol)
-
-
-def _chernoff_exponent(log_mgf_fn, mean_fn, a: float, p: float, cfg, hint):
+def _chernoff_exponent(log_mgf_fn, mean_fn, a: float, p: float, moment: float, cfg, hint):
     """min_{t>0} [ log_mgf_fn(t) - a t ] -> (t_opt, value) via the stationarity root.
 
-    The value is the objective evaluated exactly at t_opt, which bounds the
-    minimum from above at any t > 0; search precision only affects tightness.
+    ``moment`` is the tilted mean at t = 0.  The value is the objective
+    evaluated exactly at t_opt, which bounds the minimum from above at any
+    t > 0; search precision only affects tightness.
     """
     cfg = cfg or ExponentSearchConfig()
     if hint is None:
         # large-a asymptote of the tilted mean: (p t)^(p / (2 - p)) = a
         hint = math.exp(min((2.0 - p) / p * math.log(a) - math.log(p), math.log(cfg.t_max)))
-    t_opt = _solve_tilt(mean_fn, a, cfg.t_max, cfg.t_tol, hint)
+    # near the moment the tilted mean is about moment + var * t, a power of t
+    # only once the moment is subtracted; further out it is close to the asymptote
+    floor = moment if a < _NEAR_MOMENT * moment else 0.0
+    t_opt = _solve_tilt(mean_fn, a, cfg.t_max, cfg.t_tol, hint, p / (2.0 - p), floor)
     return t_opt, log_mgf_fn(t_opt) - a * t_opt
 
 
@@ -238,9 +302,11 @@ def chernoff_upper_exponent(a: float, p: float, cfg: ExponentSearchConfig | None
     warm-start tilt, typically the minimizer at a nearby coefficient.
     """
     mu = abs_moment(p)
-    if not a > mu:
-        raise ValueError(f"need a > E[|X|^p] = {mu:.6f}, got a = {a}")
-    return _chernoff_exponent(lambda t: log_mgf_pos(t, p), lambda t: tilted_moment_ratio(t, p), a, p, cfg, _hint)
+    if not mu < a < math.inf:
+        raise ValueError(f"need finite a > E[|X|^p] = {mu:.6f}, got a = {a}")
+    return _chernoff_exponent(
+        lambda t: log_mgf_pos(t, p), lambda t: tilted_moment_ratio(t, p), a, p, mu, cfg, _hint
+    )
 
 
 def chernoff_indicator_exponent(a_tilde: float, p: float, cfg: ExponentSearchConfig | None = None, _hint=None):
@@ -250,10 +316,16 @@ def chernoff_indicator_exponent(a_tilde: float, p: float, cfg: ExponentSearchCon
     is a_tilde > E[|X|^p] / 2.
     """
     mu_half = 0.5 * abs_moment(p)
-    if not a_tilde > mu_half:
-        raise ValueError(f"need a_tilde > E[|X|^p S] = {mu_half:.6f}, got {a_tilde}")
+    if not mu_half < a_tilde < math.inf:
+        raise ValueError(f"need finite a_tilde > E[|X|^p S] = {mu_half:.6f}, got {a_tilde}")
     return _chernoff_exponent(
-        lambda t: log_mgf_indicator(t, p), lambda t: indicator_tilted_moment_ratio(t, p), a_tilde, p, cfg, _hint
+        lambda t: log_mgf_indicator(t, p),
+        lambda t: indicator_tilted_moment_ratio(t, p),
+        a_tilde,
+        p,
+        mu_half,
+        cfg,
+        _hint,
     )
 
 
@@ -286,13 +358,15 @@ def _coefficient_stage(family: str, net: float, scale: float, p: float, cfg, hin
     the root I(t*) = net / scale and a steps a relative _SLACK past it.
     """
     log_mgf_and_ratio, _, _ = _family(family)
+    means = {}  # the tilted mean at each evaluated t; the root is one of them
 
     def rate(t):
-        log_mgf, mean = log_mgf_and_ratio(t, p)
-        return t * mean - log_mgf
+        log_mgf, means[t] = log_mgf_and_ratio(t, p)
+        return t * means[t] - log_mgf
 
-    t_star = _solve_tilt(rate, net / scale, cfg.t_max, cfg.t_tol, hint)
-    return log_mgf_and_ratio(t_star, p)[1] * (1.0 + _SLACK), t_star
+    # I(t) grows as t^2 near 0 and as t^(2 / (2 - p)) for large t
+    t_star = _solve_tilt(rate, net / scale, cfg.t_max, cfg.t_tol, hint, 2.0 / (2.0 - p))
+    return means[t_star] * (1.0 + _SLACK), t_star
 
 
 def _coefficient_detail(family: str, alpha: float, p: float, scale: float, cfg) -> dict:
@@ -384,18 +458,20 @@ def strong_bound(alpha: float, p: float, cfg: ExponentSearchConfig | None = None
             continue  # rho(t) = h / Lambda'(t) stays below h / mu
         net = _net_term(alpha, gamma)
 
+        means = {}
+
         def gain(t):
             # net minus the stage exponent at rho(t); increasing in t, since
             # rho(t) falls and the exponent grows with rho below 1/2
-            log_mgf, mean = _log_mgf_and_ratio(t, p)
-            rho = h / mean
+            log_mgf, means[t] = _log_mgf_and_ratio(t, p)
+            rho = h / means[t]
             return h * t - rho * log_mgf - binary_entropy(rho) * ln2
 
         try:
             hint = _solve_tilt(gain, net, cfg.t_max, cfg.t_tol, hint)
         except UnboundedSearchError:
             continue  # the boundary tilt lies past t_max: nothing certified here
-        rho = h / tilted_moment_ratio(hint, p) * (1.0 - _SLACK)
+        rho = h / means[hint] * (1.0 - _SLACK)
         if best is None or rho > best["rho"]:
             best = {"rho": rho, "gamma": gamma, "h": h, "net": net, "t_opt": hint}
     if best is None:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .linalg import RngSeed
 
@@ -311,6 +310,17 @@ def _certify_exact_1d(B: np.ndarray, mode: str, p: float, spec) -> ConditionVerd
         if violated:
             return dataclasses.replace(_falsified(mode, z, lhs, rhs), certificate_exact=True)
     return ConditionVerdict(mode=mode, holds=True, certificate_exact=True, witness=None)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first weak-l1 LP.
+
+    The LP stack stays off the package's import path; the name stays a
+    module attribute, so it can be stubbed.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict | None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .linalg import IllConditionedError, min_norm_weighted_solve, read_matrix_csv, read_vector_csv
 
@@ -133,6 +132,8 @@ def solve_l1(inst: RecoveryInstance) -> SolverResult:
     iterations without it, and handles zero, duplicated or dependent rows
     of A as they are.
     """
+    from scipy.optimize import linprog  # the LP stack loads on the first l1 solve, not on import
+
     A, y = inst.A, inst.y
     m, n = A.shape
     if np.allclose(y, 0.0, atol=1e-300):

@@ -419,3 +419,76 @@ def test_one_moment_pass_per_rate_evaluation(monkeypatch, run):
     run(_record_config(0.9))
     assert len(per_evaluation) > 20
     assert set(per_evaluation) == {1}
+
+
+@pytest.mark.parametrize(
+    "fn, root, floor",
+    [
+        (lambda t: 1.0 + t, 1e-6, 0.0),  # nearly flat in log-log at the root
+        (lambda t: 1.0 + t, 1e-6, 1.0),  # the same, an exact power once fn(0+) is subtracted
+        (lambda t: t**0.2, 3e3, 0.0),  # an exact power
+        (lambda t: 2.0 * t - 1.0, 0.75, 0.0),  # negative below t = 1/2
+        (lambda t: math.floor(1e3 * t) / 1e3 + 1e-6 * t, 0.3712, 0.0),  # steps
+    ],
+    ids=["flat", "flat-floor", "power", "negative", "steps"],
+)
+def test_solve_tilt_brackets_the_root_from_any_hint(fn, root, floor):
+    # the result has a sign change within t_tol whatever the hint, including
+    # hints past t_max, and costs few evaluations beyond the factor-4 steps
+    # that the distance from the hint needs
+    t_tol, t_max, target = 1e-10, 1e12, fn(root)
+    for hint in (root * 1e-6, root, root * 1e6, 1e20):
+        evaluations = []
+        t = B._solve_tilt(lambda s: evaluations.append(s) or fn(s), target, t_max, t_tol, hint, 1.0, floor)
+        width = t_tol + 1e-15 * t
+        assert fn(t - width) <= target < fn(t + width)
+        assert len(evaluations) <= 20 + abs(math.log(min(hint, t_max) / root, 4.0))
+
+
+def test_solve_tilt_edge_roots():
+    # a root in (0, t_tol] returns a t at most t_tol; a root at infinity and a
+    # root past t_max raise
+    t = B._solve_tilt(lambda s: s, 1e-12, 1e12, 1e-10, 1.0)
+    assert 1e-12 <= t <= 1e-10
+    with pytest.raises(B.UnboundedSearchError):
+        B._solve_tilt(lambda s: -math.expm1(-s), 1.0, 1e12, 1e-10, 1.0)
+    with pytest.raises(B.UnboundedSearchError):
+        B._solve_tilt(lambda s: s, 5.0, 3.0, 1e-10, 100.0)
+
+
+def test_non_finite_tilt_inputs_are_value_errors():
+    for solve in (B.chernoff_upper_exponent, B.chernoff_indicator_exponent):
+        for p in (1.0, 0.5):
+            for a in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    solve(a, p)
+    with pytest.raises(ValueError, match="t_max"):
+        B.ExponentSearchConfig(t_max=math.inf)
+
+
+# the benchmark's weak_bound tilt coefficients, at p = 0.3 and t_tol = 1e-9
+WEAK_INDICATOR_COEFFICIENTS = (0.85, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.8, 2.0)
+WEAK_UPPER_COEFFICIENTS = (1.1, 1.2, 1.25, 1.45, 1.75)
+
+
+def test_cold_tilt_solves_take_few_moment_passes(monkeypatch):
+    # a cold public solve costs one order-0 pass for its value and, on
+    # average, at most 5 order-1 passes for the tilted mean
+    from lprecovery import gaussian
+
+    passes = {0: 0, 1: 0}
+    tilted_moments = gaussian._tilted_moments
+
+    def counted(t, p, order):
+        passes[order] += 1
+        return tilted_moments(t, p, order)
+
+    monkeypatch.setattr(gaussian, "_tilted_moments", counted)
+    cfg = B.ExponentSearchConfig(t_tol=1e-9)
+    solves = [(B.chernoff_indicator_exponent, a) for a in WEAK_INDICATOR_COEFFICIENTS]
+    solves += [(B.chernoff_upper_exponent, a) for a in WEAK_UPPER_COEFFICIENTS]
+    for solve, a in solves:
+        before = passes[0]
+        solve(a, 0.3, cfg)
+        assert passes[0] == before + 1
+    assert passes[1] <= 5 * len(solves)

@@ -188,12 +188,12 @@ def test_byte_identical_artifacts(tmp_path, capsys):
         (
             ["threshold", "strong-bound", "--alpha", "0.9", "--p", "0.5", "--gamma-points", "8",
              "--epsilon-points", "4"],
-            "71f190efbe087c98837daddf679dc317b795ff99ed61b5dd8d46eb6dc92ee9ed",
+            "47c2bff80b4a24583d34d348cc4d1f618d9636a1d87c3a4db055f5aec660abb5",
         ),
         (
             ["threshold", "weak-bound", "--alpha", "0.9", "--p", "0.3", "--gamma-points", "4",
              "--epsilon-points", "3", "--a-tol", "1e-3"],
-            "474554ee18aaa104f3fefc746924f25f47c98afa53ff6046cbaea883503b4fdf",
+            "99aa4c0da4632650ad22ef5579c50753eb5cfced31619f34edefbe3363ac96eb",
         ),
     ],
 )

@@ -7,6 +7,9 @@ class or constant cannot linger as a stale export or import.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,11 @@ def test_no_unused_imports(path):
 
 def test_the_checks_see_every_module():
     assert {p.stem for p in MODULES} >= {"__init__", "bounds", "gaussian", "limits", "quadrature", "solvers"}
+
+
+def test_importing_the_package_and_cli_loads_no_lp_stack():
+    # scipy.optimize loads on the first LP solve, so the threshold commands never pay for it
+    code = "import sys, lprecovery, lprecovery.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(lprecovery.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
