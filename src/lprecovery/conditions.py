@@ -89,6 +89,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.sphere_samples < 1:
             raise ValueError("sphere_samples must be at least 1")
+        if self.refine_steps < 0:
+            raise ValueError("refine_steps must be non-negative")
         if not 0.0 < self.step_shrink < 1.0:
             raise ValueError("step_shrink must lie in (0, 1)")
 
@@ -248,6 +250,8 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape[1] < 1:
         raise ValueError("basis must have at least one column")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("basis entries must be finite")
     p = _mode_p(mode, p)
     spec = pattern_or_rho
     if mode == "strong":

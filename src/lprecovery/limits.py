@@ -13,7 +13,9 @@ variable:
     z* = sqrt(2 gammaincinv((p+1)/2, 1/2)),   rho*(p) = erfc(z* / sqrt(2)).
 
 One quadrature of the truncated moment re-checks the closed form; its
-residual travels with the threshold.
+residual travels with the threshold.  ``gammaincinv`` and ``digamma`` come
+from ``scipy.special``, imported by the first strong-limit call, so the
+weak and sectional limits never load scipy.
 
 The weak and sectional limits are constants (2/3 below p = 1, 1 at p = 1;
 1/2 for all p) and are exposed as functions only for a uniform surface.
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaincinv
 
 from .gaussian import _SQRT_2_OVER_PI, _TAIL_CUTOFF_SIGMA, abs_moment
 from .quadrature import integrate
@@ -69,6 +70,8 @@ def _solve_z_star(p: float):
     """Closed-form split point and the quadrature residual that re-checks it."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
+    from scipy.special import gammaincinv  # loads on the first strong limit, not with the package
+
     z = math.sqrt(2.0 * gammaincinv(0.5 * (p + 1.0), 0.5))
     residual = abs(abs_moment(p) - 2.0 * _upper_truncated_moment(z, p))
     if residual > _RESIDUAL_TOL:
@@ -88,6 +91,8 @@ def _threshold_derivative(z: float, p: float) -> float:
     E[|X|^p] (log 2 + psi((p+1)/2)) / 2; upper is the same integral over
     [z, U], by quadrature.
     """
+    from scipy.special import digamma  # loads on the first strong limit, not with the package
+
     upper = _TAIL_CUTOFF_SIGMA
 
     def integrand(x):

@@ -4,6 +4,11 @@ Matrices and vectors are plain numpy arrays (row-major, float64).  Sampling
 uses the Philox counter-based generator with an explicit Box-Muller
 transform, so identical seeds reproduce identical matrices across platforms
 and numpy versions.
+
+The factorizations are scipy's: pivoted QR for kernel bases, economic QR
+and LAPACK ``dtrtri`` for weighted solves (numpy's QR cannot pivot and
+numpy has no ``dtrtri``).  ``scipy.linalg`` is imported by the first call
+that factors, not with the package.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RngSeed",
@@ -100,10 +104,14 @@ def null_space_basis(A: np.ndarray) -> np.ndarray:
     if A.ndim != 2:
         raise ValueError("expected a 2-d array")
     m, n = A.shape
+    if m == 0:
+        raise ValueError(f"kernel basis needs at least one row, got 0 rows (0x{n})")
     if m >= n:
         raise RankDeficientError(f"kernel basis needs m < n, got shape {m}x{n}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
+    import scipy.linalg  # loads on the first factorization, not with the package
+
     Q, R, _ = scipy.linalg.qr(A.T, mode="full", pivoting=True)
     diag = np.abs(np.diag(R)[:m])
     if diag.min() <= _RANK_TOL * diag.max():
@@ -135,12 +143,16 @@ def min_norm_weighted_solve(A: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.n
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     m, n = A.shape
+    if m == 0:
+        raise ValueError(f"weighted solve needs at least one row, got 0 rows (0x{n})")
     if y.shape != (m,):
         raise ValueError(f"y must have length {m}")
     if w.shape != (n,) or not np.all(w > 0):
         raise ValueError("weights must be positive and match the column count")
     if m > n:
         raise RankDeficientError(f"{m} rows cannot have full row rank in {n} columns")
+    import scipy.linalg  # loads on the first factorization, not with the package
+
     d = 1.0 / np.sqrt(w)
     G = A * d[None, :]
     Q, R = scipy.linalg.qr(G.T, mode="economic")

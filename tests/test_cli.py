@@ -249,6 +249,18 @@ def test_certify_weak_pattern_outside_the_basis_exits_one(tmp_path, capsys, mode
         assert "invalid parameter" in err and "outside the basis" in err
 
 
+def test_certify_negative_refine_steps_exits_one(tmp_path, capsys):
+    path = tmp_path / "B.csv"
+    la.write_matrix_csv(path, la.sample_gaussian_matrix(12, 3, la.RngSeed(4)))
+    code, out, err = run_cli(
+        capsys, "certify", "--matrix", str(path), "--mode", "weak_lp", "--p", "0.5", "--rho", "0.25",
+        "--refine-steps", "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "invalid parameter" in err and "refine_steps" in err
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(capsys, "threshold", "strong-limit")[0] == 1  # missing --p
     assert run_cli(capsys, "nonsense")[0] == 1

@@ -237,6 +237,28 @@ def test_certify_input_validation():
         C.certify(B, "weak_lp", 0.5, 3)  # weak modes need a pattern
     with pytest.raises(ValueError):
         C.SearchBudget(sphere_samples=0)
+    with pytest.raises(ValueError, match="refine_steps"):
+        C.SearchBudget(refine_steps=-1)
+    assert C.SearchBudget(refine_steps=0).refine_steps == 0
+
+
+@pytest.mark.parametrize(
+    "mode, p, spec",
+    [
+        ("weak_lp", 0.5, C.SupportPattern.nonnegative(3)),
+        ("weak_l0", 0.0, C.SupportPattern.nonnegative(3)),
+        ("weak_l1", 1.0, C.SupportPattern.nonnegative(3)),
+        ("strong", 0.5, 3),
+        ("sectional", 0.5, (0, 1)),
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certify_rejects_a_non_finite_basis(mode, p, spec, bad):
+    # every comparison with NaN is False, so a search over such a basis would never falsify
+    B = la.sample_gaussian_matrix(12, 3, la.RngSeed(5))
+    B[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        C.certify(B, mode, p, spec, C.SearchBudget(16, 4))
 
 
 @pytest.mark.parametrize("mode, p", [("weak_l1", 1.0), ("weak_lp", 0.5), ("weak_l0", 0.0)])

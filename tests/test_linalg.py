@@ -79,6 +79,12 @@ def test_null_space_rejects_rank_deficient():
         la.null_space_basis(np.eye(3))  # m == n has no kernel
 
 
+def test_null_space_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match="got 0 rows") as info:
+        la.null_space_basis(np.zeros((0, 4)))
+    assert not isinstance(info.value, la.RankDeficientError)  # an input error, not a numerical one
+
+
 def test_min_norm_solve_identity_weights_orthonormal_rows():
     A = la.sample_gaussian_matrix(4, 9, 5)
     Q = np.linalg.qr(A.T)[0].T  # orthonormal rows
@@ -235,6 +241,13 @@ def test_min_norm_solve_rejects_more_rows_than_columns():
         _lstsq_reference(A, y, np.ones(4))
     with pytest.raises(la.RankDeficientError):
         la.min_norm_weighted_solve(A, y, np.ones(4))
+
+
+def test_min_norm_solve_rejects_an_empty_system(capfd):
+    with pytest.raises(ValueError, match="got 0 rows") as info:
+        la.min_norm_weighted_solve(np.zeros((0, 4)), np.zeros(0), np.ones(4))
+    assert not isinstance(info.value, la.RankDeficientError)
+    assert capfd.readouterr().err == ""  # no LAPACK complaint on stderr
 
 
 def test_csv_roundtrip(tmp_path):

@@ -3,15 +3,22 @@
 Every ``__all__`` entry must name something the module defines, and no
 module but ``__init__.py`` may import a name it never uses, so a deleted
 class or constant cannot linger as a stale export or import.
+
+The import-path checks run in new interpreters: importing the package and
+its CLI loads no scipy module, the scipy-free threshold commands run
+without one, and the function-local scipy imports work on a first call.
 """
 
 import ast
+import dataclasses
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lprecovery
@@ -63,9 +70,71 @@ def test_the_checks_see_every_module():
     assert {p.stem for p in MODULES} >= {"__init__", "bounds", "gaussian", "limits", "quadrature", "solvers"}
 
 
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lprecovery.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
 def test_importing_the_package_and_cli_loads_no_lp_stack():
     # scipy.optimize loads on the first LP solve, so the threshold commands never pay for it
     code = "import sys, lprecovery, lprecovery.cli; print('scipy.optimize' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(lprecovery.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh(code).strip() == "False"
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy.linalg and scipy.special load on the first factorization or strong limit
+    code = f"import sys, lprecovery, lprecovery.cli; print({_LOADED_SCIPY})"
+    assert _fresh(code).strip() == "[]"
+
+
+def test_scipy_free_threshold_commands_load_no_scipy():
+    code = f"""
+import contextlib, io, json, sys
+from lprecovery.cli import main
+commands = [
+    ["threshold", "weak-limit", "--p", "0.5"],
+    ["threshold", "sectional-limit", "--p", "0.5"],
+    ["threshold", "weak-bound", "--alpha", "0.9", "--p", "0.5",
+     "--gamma-points", "2", "--epsilon-points", "2", "--a-tol", "0.05"],
+    ["threshold", "strong-bound", "--alpha", "0.99", "--p", "1", "--gamma-points", "3", "--epsilon-points", "2"],
+]
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({{"codes": codes, "scipy": {_LOADED_SCIPY}}}))
+"""
+    out = json.loads(_fresh(code))
+    assert out == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
+def test_deferred_scipy_imports_work_in_a_cold_process():
+    # the suite has loaded scipy long before this test, so only a new interpreter
+    # exercises the function-local imports on their first call
+    code = f"""
+import dataclasses, json, sys
+import numpy as np
+from lprecovery import limits, linalg
+assert {_LOADED_SCIPY} == []
+A = linalg.sample_gaussian_matrix(3, 7, 11)
+print(json.dumps({{
+    "null_space": linalg.null_space_basis(A).tolist(),
+    "weighted_solve": linalg.min_norm_weighted_solve(A, np.arange(1.0, 4.0), np.linspace(0.5, 2.0, 7)).tolist(),
+    "strong_limit": dataclasses.asdict(limits.strong_limit_threshold(0.5)),
+    "derivative": limits.strong_threshold_derivative(0.7),
+}}))
+"""
+    cold = json.loads(_fresh(code))
+    from lprecovery import limits, linalg
+
+    A = linalg.sample_gaussian_matrix(3, 7, 11)
+    assert cold["null_space"] == linalg.null_space_basis(A).tolist()
+    assert cold["weighted_solve"] == linalg.min_norm_weighted_solve(
+        A, np.arange(1.0, 4.0), np.linspace(0.5, 2.0, 7)
+    ).tolist()
+    assert cold["strong_limit"] == dataclasses.asdict(limits.strong_limit_threshold(0.5))
+    assert cold["derivative"] == limits.strong_threshold_derivative(0.7)
