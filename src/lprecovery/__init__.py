@@ -31,7 +31,7 @@ from .limits import (
     weak_limit_threshold,
 )
 from .linalg import RngSeed, min_norm_weighted_solve, null_space_basis, sample_gaussian_matrix
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import QuadratureError
 from .solvers import (
     RecoveryInstance,
     SolverResult,

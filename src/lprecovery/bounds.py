@@ -86,6 +86,8 @@ _REL_TOL = 4.0 * sys.float_info.epsilon
 _EXTRAPOLATION_BUDGET = 32
 # a public tilt solve subtracts the moment from the tilted mean below this multiple of it
 _NEAR_MOMENT = 1.5
+# cap on every tilt t; a root past it raises UnboundedSearchError
+_T_MAX = 1e12
 
 
 class BoundSearchError(RuntimeError):
@@ -93,7 +95,7 @@ class BoundSearchError(RuntimeError):
 
 
 class UnboundedSearchError(BoundSearchError):
-    """A tilt root lies beyond ``t_max``."""
+    """A tilt root lies beyond the tilt cap t = 1e12."""
 
 
 class InfeasibleBoundError(BoundSearchError):
@@ -108,11 +110,11 @@ class MonotonicityError(BoundSearchError):
 class ExponentSearchConfig:
     """Grids and tolerances for the nested exponent optimizations.
 
-    ``t_max`` caps the tilt t; a stationarity root beyond it raises
-    :class:`UnboundedSearchError`.  ``t_tol`` is the widest final bracket
-    of evaluated signs on a tilt root (plus 4 ulps of t): the returned t,
-    an end of that bracket, lies within ``t_tol`` of the point where the
-    tilted mean equals the coefficient, whatever the warm start.
+    The tilt t is capped at 1e12, and a stationarity root beyond the cap
+    raises :class:`UnboundedSearchError`.  ``t_tol`` is the widest final
+    bracket of evaluated signs on a tilt root (plus 4 ulps of t): the
+    returned t, an end of that bracket, lies within ``t_tol`` of the point
+    where the tilted mean equals the coefficient, whatever the warm start.
     ``a_tol`` and ``rho_grid_resolution`` serve only ``weak_bound``'s
     bisection on rho: its tolerance, and the smallest sparsity fraction
     probed when bracketing (alpha / resolution).
@@ -120,7 +122,6 @@ class ExponentSearchConfig:
 
     gamma_grid: tuple = field(default_factory=tuple)
     epsilon_grid: tuple = field(default_factory=tuple)
-    t_max: float = 1e12
     t_tol: float = 1e-10
     a_tol: float = 1e-6
     rho_grid_resolution: int = 4096
@@ -132,8 +133,6 @@ class ExponentSearchConfig:
             raise ValueError("gamma grid must be sorted ascending")
         if not (self.t_tol > 0 and self.a_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if not self.rho_grid_resolution >= 1:
             raise ValueError(f"rho_grid_resolution must be at least 1, got {self.rho_grid_resolution}")
 
@@ -181,7 +180,7 @@ class BoundResult:
             "search_config": {
                 "gamma_grid": list(cfg.gamma_grid),
                 "epsilon_grid": list(cfg.epsilon_grid),
-                "t_max": cfg.t_max,
+                "t_max": _T_MAX,
                 "t_tol": cfg.t_tol,
                 "a_tol": cfg.a_tol,
                 "rho_grid_resolution": cfg.rho_grid_resolution,
@@ -198,10 +197,8 @@ def binary_entropy(rho: float) -> float:
     return -rho * math.log2(rho) - (1.0 - rho) * math.log2(1.0 - rho)
 
 
-def _solve_tilt(
-    fn, target: float, t_max: float, t_tol: float, hint: float, slope: float = 1.0, floor: float = 0.0
-) -> float:
-    """Root of fn(t) = target on (0, t_max] for any increasing fn below target at 0+.
+def _solve_tilt(fn, target: float, t_tol: float, hint: float, slope: float = 1.0, floor: float = 0.0) -> float:
+    """Root of fn(t) = target on (0, _T_MAX] for any increasing fn below target at 0+.
 
     Every tilt function here is close to a power of t, at least once its
     value at 0+ is subtracted, so the solve works on y = log((fn - floor) /
@@ -221,10 +218,10 @@ def _solve_tilt(
     The solve stops once the bracket is at most ``t_tol`` wide (plus 4 ulps
     of t) and returns its end nearer the root, so the result lies within
     ``t_tol`` of the root whatever the hint, a root in (0, ``t_tol``]
-    included.  A root past ``t_max`` raises :class:`UnboundedSearchError`.
+    included.  A root past ``_T_MAX`` raises :class:`UnboundedSearchError`.
     """
     lo, hi, y_lo, y_hi = 0.0, math.inf, -math.inf, math.inf  # fn(lo) <= target < fn(hi)
-    t, extrapolations = min(hint, t_max), 0
+    t, extrapolations = min(hint, _T_MAX), 0
     points = []  # (log t, y) of the last two evaluations with a finite y
     ys = [None, None]  # y two evaluations back and one back
     steps = [math.inf, math.inf]  # |change in log t| of the step before last and the last
@@ -238,8 +235,8 @@ def _solve_tilt(
             lo, y_lo = t, y
         if hi < math.inf and hi - lo <= t_tol + _REL_TOL * hi:
             return hi if abs(y_hi) <= abs(y_lo) else lo
-        if lo >= t_max:
-            raise UnboundedSearchError(f"tilt root exceeds t_max={t_max:g}")
+        if lo >= _T_MAX:
+            raise UnboundedSearchError(f"tilt root exceeds t_max={_T_MAX:g}")
         if y == -math.inf:
             move = _LOG_4  # fn at or below its floor: only the side is known
         else:
@@ -273,7 +270,7 @@ def _solve_tilt(
         else:
             t_new = 4.0 * t if t == lo else 0.25 * t
         steps, ys = [steps[1], abs(math.log(t_new / t))], [ys[1], y]
-        t = min(t_new, t_max)
+        t = min(t_new, _T_MAX)
 
 
 def _chernoff_exponent(log_mgf_fn, mean_fn, a: float, p: float, moment: float, cfg, hint):
@@ -286,11 +283,11 @@ def _chernoff_exponent(log_mgf_fn, mean_fn, a: float, p: float, moment: float, c
     cfg = cfg or ExponentSearchConfig()
     if hint is None:
         # large-a asymptote of the tilted mean: (p t)^(p / (2 - p)) = a
-        hint = math.exp(min((2.0 - p) / p * math.log(a) - math.log(p), math.log(cfg.t_max)))
+        hint = math.exp(min((2.0 - p) / p * math.log(a) - math.log(p), math.log(_T_MAX)))
     # near the moment the tilted mean is about moment + var * t, a power of t
     # only once the moment is subtracted; further out it is close to the asymptote
     floor = moment if a < _NEAR_MOMENT * moment else 0.0
-    t_opt = _solve_tilt(mean_fn, a, cfg.t_max, cfg.t_tol, hint, p / (2.0 - p), floor)
+    t_opt = _solve_tilt(mean_fn, a, cfg.t_tol, hint, p / (2.0 - p), floor)
     return t_opt, log_mgf_fn(t_opt) - a * t_opt
 
 
@@ -365,7 +362,7 @@ def _coefficient_stage(family: str, net: float, scale: float, p: float, cfg, hin
         return t * means[t] - log_mgf
 
     # I(t) grows as t^2 near 0 and as t^(2 / (2 - p)) for large t
-    t_star = _solve_tilt(rate, net / scale, cfg.t_max, cfg.t_tol, hint, 2.0 / (2.0 - p))
+    t_star = _solve_tilt(rate, net / scale, cfg.t_tol, hint, 2.0 / (2.0 - p))
     return means[t_star] * (1.0 + _SLACK), t_star
 
 
@@ -468,9 +465,9 @@ def strong_bound(alpha: float, p: float, cfg: ExponentSearchConfig | None = None
             return h * t - rho * log_mgf - binary_entropy(rho) * ln2
 
         try:
-            hint = _solve_tilt(gain, net, cfg.t_max, cfg.t_tol, hint)
+            hint = _solve_tilt(gain, net, cfg.t_tol, hint)
         except UnboundedSearchError:
-            continue  # the boundary tilt lies past t_max: nothing certified here
+            continue  # the boundary tilt lies past _T_MAX: nothing certified here
         rho = h / means[hint] * (1.0 - _SLACK)
         if best is None or rho > best["rho"]:
             best = {"rho": rho, "gamma": gamma, "h": h, "net": net, "t_opt": hint}

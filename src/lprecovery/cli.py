@@ -262,6 +262,30 @@ def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, re
     _emit(payload, output, fmt)
 
 
+# keys of each experiment spec: (required, optional)
+_SPEC_KEYS = {
+    "example1": (("k",), ("p",)),
+    "phase": (("n", "m", "p_list", "rho_grid", "trials_per_point"), ("amplitude_model", "seed")),
+    "strong-vs-weak": (("n", "m", "p_list", "rho_grid", "matrices", "vectors_per_point"), ("seed",)),
+    "weak-probe": (("n", "codim", "p", "rho_list", "trials"), ("seed", "budget")),
+    "concentration": (("n", "p", "rho", "trials"), ("seed",)),
+}
+
+
+def _check_spec_keys(raw, required, optional, prefix: str = "") -> None:
+    """Reject a spec that is not a JSON object, lacks a required key or has an unknown one."""
+    if not isinstance(raw, dict):
+        what = prefix.rstrip(".") or "the spec"
+        raise click.BadParameter(f"{what} must be a JSON object, got {type(raw).__name__}", param_hint="'--spec'")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise click.BadParameter(f"missing key {prefix + missing[0]!r}", param_hint="'--spec'")
+    unknown = sorted(set(raw) - set(required) - set(optional))
+    if unknown:
+        expected = ", ".join(prefix + key for key in required + optional)
+        raise click.BadParameter(f"unknown key {prefix + unknown[0]!r}; expected {expected}", param_hint="'--spec'")
+
+
 @cli.command("experiment")
 @click.argument("kind", type=click.Choice(["example1", "phase", "strong-vs-weak", "weak-probe", "concentration"]))
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), required=True,
@@ -274,6 +298,7 @@ def experiment_cmd(kind, spec_path, csv_out, output, fmt) -> None:
     with open(spec_path) as fh:
         raw = json.load(fh)
     _log_config("experiment", kind=kind, spec=raw, output=output, format=fmt)
+    _check_spec_keys(raw, *_SPEC_KEYS[kind])
     if kind == "example1":
         payload = experiments.run_example1(int(raw["k"]), float(raw.get("p", 0.5)))
         _emit(payload, output, fmt)
@@ -301,17 +326,14 @@ def experiment_cmd(kind, spec_path, csv_out, output, fmt) -> None:
         )
     elif kind == "weak-probe":
         budget_raw = raw.get("budget", {})
-        if "seed" in budget_raw:
+        if isinstance(budget_raw, dict) and "seed" in budget_raw:
             raise click.BadParameter(
                 "budget.seed has no effect: every trial's search seed derives from the "
                 "top-level seed; set that instead",
                 param_hint="'--spec'",
             )
-        budget = conditions.SearchBudget(
-            sphere_samples=int(budget_raw.get("sphere_samples", 256)),
-            refine_steps=int(budget_raw.get("refine_steps", 120)),
-            step_shrink=float(budget_raw.get("step_shrink", 0.5)),
-        )
+        _check_spec_keys(budget_raw, (), ("sphere_samples", "refine_steps"), "budget.")
+        budget = conditions.SearchBudget(**{key: int(value) for key, value in budget_raw.items()})
         report = experiments.run_weak_threshold_probe(
             n=int(raw["n"]),
             codim=int(raw["codim"]),

@@ -46,6 +46,8 @@ __all__ = [
 
 MODES = ("strong", "weak_l1", "weak_lp", "weak_l0", "sectional")
 _ZERO_REL_TOL = 1e-12
+# the pattern search multiplies its step by this after a round with no improving move
+_STEP_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ class SupportPattern:
 class SearchBudget:
     sphere_samples: int = 256
     refine_steps: int = 120
-    step_shrink: float = 0.5
     seed: RngSeed = RngSeed(0)
 
     def __post_init__(self) -> None:
@@ -91,8 +92,6 @@ class SearchBudget:
             raise ValueError("sphere_samples must be at least 1")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be non-negative")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -194,12 +193,12 @@ def weak_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, pat: Suppor
         return lhs < rhs, lhs, rhs
     lhs = float(_entry_powers(bz_minus, p).sum())
     rhs = float(_entry_powers(bz_comp, p).sum())
-    if p == 0.0:
+    if p == 0.0 or lhs != rhs:
         return lhs < rhs, lhs, rhs
+    # a tie holds only where B_{T+}z does not vanish
     plus_scale = np.linalg.norm(z) * max(1.0, float(np.abs(B).max()))
     plus_vanishes = bool(np.all(np.abs(bz_plus) <= _ZERO_REL_TOL * plus_scale))
-    holds = lhs < rhs if plus_vanishes else lhs <= rhs
-    return holds, lhs, rhs
+    return not plus_vanishes, lhs, rhs
 
 
 def sectional_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, support):
@@ -247,6 +246,8 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
     by a derivative-free pattern search with shrinking steps on the best
     candidates; any violation is returned as a witness.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if B.shape[1] < 1:
         raise ValueError("basis must have at least one column")
@@ -427,7 +428,7 @@ def _refine(B, mode, p, spec, z, budget: SearchBudget, rng):
                     z, margin, lhs, rhs = trial, m, l, r
                     improved = True
         if not improved:
-            step *= budget.step_shrink
+            step *= _STEP_SHRINK
             if step < 1e-9:
                 break
     return False, (z, lhs, rhs, margin)

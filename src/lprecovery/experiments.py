@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .conditions import SearchBudget, SupportPattern, certify
+from .conditions import _STEP_SHRINK, SearchBudget, SupportPattern, certify
 from .gaussian import abs_moment
 from .linalg import IllConditionedError, RngSeed, sample_gaussian_matrix
 from .solvers import (
@@ -395,13 +395,7 @@ def _probe_trial(n, codim, p, rho, ri, trial, budget, seed):
     size = max(1, int(round(rho * n)))
     pattern = SupportPattern.nonnegative(size)
     mode = "weak_l1" if p == 1.0 else ("weak_l0" if p == 0.0 else "weak_lp")
-    trial_budget = SearchBudget(
-        sphere_samples=budget.sphere_samples,
-        refine_steps=budget.refine_steps,
-        step_shrink=budget.step_shrink,
-        seed=trial_seed.child(1),
-    )
-    verdict = certify(B, mode, p, pattern, trial_budget)
+    verdict = certify(B, mode, p, pattern, replace(budget, seed=trial_seed.child(1)))
     return {"trial": trial, "seed": trial_seed.seed, "falsified": not verdict.holds, "witness": verdict.witness}
 
 
@@ -451,7 +445,7 @@ def run_weak_threshold_probe(
             "budget": {
                 "sphere_samples": budget.sphere_samples,
                 "refine_steps": budget.refine_steps,
-                "step_shrink": budget.step_shrink,
+                "step_shrink": _STEP_SHRINK,
             },
         },
         points=points,
@@ -498,6 +492,8 @@ def run_concentration_check(
     """
     if n < 1000:
         raise ValueError("concentration check needs n >= 1000")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must lie in (0, 1], got {p}")
     _check_counts_and_rhos((rho,), trials=trials)
     start = time.monotonic()
     mu = abs_moment(p)

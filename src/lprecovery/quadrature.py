@@ -5,40 +5,20 @@ interval first (the integrands carry an exp(-x^2/2) factor, so a cutoff of
 a dozen standard deviations is far below double precision).  Panels are
 refined adaptively and every refinement round evaluates the integrand on
 all new nodes in a single vectorized call, which keeps the hot
-exponent-optimization loops cheap.
+exponent-optimization loops cheap.  Every integral runs at one fixed
+tolerance: the larger of a relative 1e-10 and an absolute 1e-12, within
+512 panels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["QuadratureConfig", "QuadratureError", "integrate", "DEFAULT_QUADRATURE"]
+__all__ = ["QuadratureError", "integrate"]
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and panel budget of :func:`integrate`.
-
-    Every integral of the package runs at the defaults; a caller passes its
-    own config only to ``integrate`` itself.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 512
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 512
 
 
 class QuadratureError(RuntimeError):
@@ -138,7 +118,7 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
     return k, err
 
 
-def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE, points=()):
+def integrate(f, a: float, b: float, points=()):
     """Integrate a vectorized callable ``f`` over [a, b].
 
     ``f`` maps N nodes to N values (the integral is a float) or to a (k, N)
@@ -146,7 +126,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     tolerance).  ``points`` lists interior break points (peaks, decay
     scales) that seed the initial panel layout.  Raises
     :class:`QuadratureError` if the tolerance is not met within
-    ``cfg.max_subdivisions`` panels.
+    ``_MAX_SUBDIVISIONS`` panels.
     """
     if not b > a:
         if b == a:
@@ -167,16 +147,16 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
         total = vals.sum(axis=-1)
         err_total = errs.sum(axis=-1)
         if rows:
-            target = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+            target = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
             converged = bool(np.all(err_total <= target))
         else:
             # plain floats: numpy scalar arithmetic would dominate short integrals
             total, err_total = float(total), float(err_total)
-            target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+            target = max(_ABS_TOL, _REL_TOL * abs(total))
             converged = err_total <= target
         if converged:
             return total
-        if len(lo) >= cfg.max_subdivisions:
+        if len(lo) >= _MAX_SUBDIVISIONS:
             if rows:
                 worst = np.argmax(err_total / target)
                 total, err_total = total[worst], err_total[worst]

@@ -263,6 +263,8 @@ def solve_l0_exhaustive(inst: RecoveryInstance, max_support: int | None = None) 
     m, n = A.shape
     if max_support is None:
         max_support = min(m, n)
+    elif max_support < 1:
+        raise ValueError(f"max_support must be at least 1, got {max_support}")
     if n > 24 and max_support > 4:
         raise ValueError("exhaustive search guard: need n <= 24 or max_support <= 4")
     y_norm = np.linalg.norm(y)

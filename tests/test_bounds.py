@@ -39,7 +39,6 @@ def coarse_config(alpha: float) -> B.ExponentSearchConfig:
     return B.ExponentSearchConfig(
         gamma_grid=base.gamma_grid,
         epsilon_grid=base.epsilon_grid,
-        t_max=base.t_max,
         t_tol=1e-9,
         a_tol=1e-4,
         rho_grid_resolution=256,
@@ -237,10 +236,6 @@ def test_degenerate_search_configs_are_rejected():
     for points in ({"gamma_points": 0}, {"epsilon_points": 0}, {"gamma_points": -3}):
         with pytest.raises(ValueError, match="at least one point"):
             B.ExponentSearchConfig.default(0.9, **points)
-    with pytest.raises(ValueError, match="t_max"):
-        B.ExponentSearchConfig(t_max=0.0)
-    with pytest.raises(ValueError, match="t_max"):
-        B.ExponentSearchConfig(t_max=-1.0)
     with pytest.raises(ValueError, match="rho_grid_resolution"):
         B.ExponentSearchConfig(rho_grid_resolution=0)
     # a bare config keeps its empty grids: the public tilt solves need none
@@ -255,7 +250,7 @@ def _tilt_family(family):
 
 @pytest.mark.parametrize("family", ["upper", "indicator"])
 @pytest.mark.parametrize("p,top", [(1.0, 60.0), (0.5, 10.0), (0.3, 4.0)])
-def test_tilt_solve_is_stationary_exact_and_hint_free(family, p, top):
+def test_tilt_solve_is_stationary_exact_and_hint_free(monkeypatch, family, p, top):
     solve, log_mgf, mean, mass = _tilt_family(family)
     mu = mass * abs_moment(p)
     t_tol = B.ExponentSearchConfig().t_tol
@@ -269,8 +264,9 @@ def test_tilt_solve_is_stationary_exact_and_hint_free(family, p, top):
         for hint in (t_opt * 1e4, t_opt * 1e-4):
             t_warm, _ = solve(a, p, _hint=hint)
             assert t_warm == pytest.approx(t_opt, abs=2 * t_tol, rel=1e-14)
-        with pytest.raises(B.UnboundedSearchError):
-            solve(a, p, B.ExponentSearchConfig(t_max=0.5 * t_opt))
+        with monkeypatch.context() as patch, pytest.raises(B.UnboundedSearchError):
+            patch.setattr(B, "_T_MAX", 0.5 * t_opt)
+            solve(a, p)
     assert (p * t_opt) ** (1.0 / (2.0 - p)) > 50.0
 
 
@@ -434,26 +430,27 @@ def test_one_moment_pass_per_rate_evaluation(monkeypatch, run):
 )
 def test_solve_tilt_brackets_the_root_from_any_hint(fn, root, floor):
     # the result has a sign change within t_tol whatever the hint, including
-    # hints past t_max, and costs few evaluations beyond the factor-4 steps
-    # that the distance from the hint needs
-    t_tol, t_max, target = 1e-10, 1e12, fn(root)
+    # hints past the tilt cap, and costs few evaluations beyond the factor-4
+    # steps that the distance from the hint needs
+    t_tol, target = 1e-10, fn(root)
     for hint in (root * 1e-6, root, root * 1e6, 1e20):
         evaluations = []
-        t = B._solve_tilt(lambda s: evaluations.append(s) or fn(s), target, t_max, t_tol, hint, 1.0, floor)
+        t = B._solve_tilt(lambda s: evaluations.append(s) or fn(s), target, t_tol, hint, 1.0, floor)
         width = t_tol + 1e-15 * t
         assert fn(t - width) <= target < fn(t + width)
-        assert len(evaluations) <= 20 + abs(math.log(min(hint, t_max) / root, 4.0))
+        assert len(evaluations) <= 20 + abs(math.log(min(hint, B._T_MAX) / root, 4.0))
 
 
-def test_solve_tilt_edge_roots():
+def test_solve_tilt_edge_roots(monkeypatch):
     # a root in (0, t_tol] returns a t at most t_tol; a root at infinity and a
-    # root past t_max raise
-    t = B._solve_tilt(lambda s: s, 1e-12, 1e12, 1e-10, 1.0)
+    # root past the tilt cap raise
+    t = B._solve_tilt(lambda s: s, 1e-12, 1e-10, 1.0)
     assert 1e-12 <= t <= 1e-10
     with pytest.raises(B.UnboundedSearchError):
-        B._solve_tilt(lambda s: -math.expm1(-s), 1.0, 1e12, 1e-10, 1.0)
+        B._solve_tilt(lambda s: -math.expm1(-s), 1.0, 1e-10, 1.0)
+    monkeypatch.setattr(B, "_T_MAX", 3.0)
     with pytest.raises(B.UnboundedSearchError):
-        B._solve_tilt(lambda s: s, 5.0, 3.0, 1e-10, 100.0)
+        B._solve_tilt(lambda s: s, 5.0, 1e-10, 100.0)
 
 
 def test_non_finite_tilt_inputs_are_value_errors():
@@ -462,8 +459,6 @@ def test_non_finite_tilt_inputs_are_value_errors():
             for a in (math.inf, math.nan):
                 with pytest.raises(ValueError, match="finite"):
                     solve(a, p)
-    with pytest.raises(ValueError, match="t_max"):
-        B.ExponentSearchConfig(t_max=math.inf)
 
 
 # the benchmark's weak_bound tilt coefficients, at p = 0.3 and t_tol = 1e-9

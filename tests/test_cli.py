@@ -223,6 +223,7 @@ def test_experiment_has_no_workers_option(tmp_path, capsys):
         ("strong-vs-weak", {"n": 20, "m": 10, "p_list": [1.0], "rho_grid": [0.2], "matrices": 0,
                             "vectors_per_point": 1}),
         ("concentration", {"n": 1000, "p": 0.5, "rho": 1.5, "trials": 2}),
+        ("concentration", {"n": 1000, "p": 1.5, "rho": 0.3, "trials": 2}),
     ],
 )
 def test_experiment_rejects_empty_or_out_of_range_specs(tmp_path, capsys, kind, spec):
@@ -331,3 +332,56 @@ def test_weak_probe_rejects_budget_seed(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "--spec" in err and "budget.seed" in err and "top-level seed" in err
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak_lp", "weak_l1", "weak_l0", "sectional"])
+def test_certify_p_outside_the_unit_interval_exits_one(tmp_path, capsys, mode):
+    path = tmp_path / "B.csv"
+    la.write_matrix_csv(path, la.sample_gaussian_matrix(12, 3, la.RngSeed(4)))
+    extra = ["--support", "1,2"] if mode == "sectional" else ["--rho", "0.25"]
+    code, out, err = run_cli(capsys, "certify", "--matrix", str(path), "--mode", mode, "--p", "1.5", *extra)
+    assert code == 1
+    assert out == ""
+    assert "invalid parameter" in err and "p must lie in [0, 1]" in err
+
+
+def test_solve_l0_with_no_support_budget_exits_one(tmp_path, capsys):
+    A = la.sample_gaussian_matrix(4, 8, 21)
+    la.write_matrix_csv(tmp_path / "A.csv", A)
+    la.write_vector_csv(tmp_path / "y.csv", A[:, 2])
+    (tmp_path / "job.json").write_text(json.dumps({"matrix": "A.csv", "y": "y.csv", "p": 0.0}))
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", str(tmp_path / "job.json"), "--method", "l0", "--max-support", "0"
+    )
+    assert code == 1
+    assert out == ""
+    assert "invalid parameter" in err and "max_support" in err
+
+
+_PROBE_SPEC = {"n": 40, "codim": 3, "p": 0.5, "rho_list": [0.2], "trials": 1}
+
+
+@pytest.mark.parametrize(
+    "kind, spec, message",
+    [
+        ("weak-probe", [1, 2], "the spec must be a JSON object, got list"),
+        ("concentration", "n=1000", "the spec must be a JSON object, got str"),
+        ("weak-probe", {k: v for k, v in _PROBE_SPEC.items() if k != "trials"}, "missing key 'trials'"),
+        ("phase", {"n": 20, "m": 10, "p_list": [0.5], "rho_grid": [0.05]}, "missing key 'trials_per_point'"),
+        ("weak-probe", {**_PROBE_SPEC, "sed": 3}, "unknown key 'sed'"),
+        ("concentration", {"n": 1000, "p": 0.5, "rho": 0.3, "trials": 2, "band": 0.1}, "unknown key 'band'"),
+        ("weak-probe", {**_PROBE_SPEC, "budget": {"step_shrink": 0.25}}, "unknown key 'budget.step_shrink'"),
+        ("weak-probe", {**_PROBE_SPEC, "budget": [4, 2]}, "budget must be a JSON object, got list"),
+    ],
+    ids=[
+        "probe-list", "concentration-string", "probe-no-trials", "phase-no-trials", "probe-mistyped-seed",
+        "concentration-band", "probe-budget-step-shrink", "probe-budget-list",
+    ],
+)
+def test_experiment_specs_are_checked_by_key(tmp_path, capsys, kind, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "experiment", kind, "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert "--spec" in err and message in err

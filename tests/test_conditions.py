@@ -261,6 +261,24 @@ def test_certify_rejects_a_non_finite_basis(mode, p, spec, bad):
         C.certify(B, mode, p, spec, C.SearchBudget(16, 4))
 
 
+@pytest.mark.parametrize(
+    "mode, spec",
+    [
+        ("weak_lp", C.SupportPattern.nonnegative(3)),
+        ("weak_l0", C.SupportPattern.nonnegative(3)),
+        ("weak_l1", C.SupportPattern.nonnegative(3)),
+        ("strong", 3),
+        ("sectional", (0, 1)),
+    ],
+)
+@pytest.mark.parametrize("p", [1.5, -0.5, np.nan])
+def test_certify_rejects_p_outside_the_unit_interval(mode, spec, p):
+    # weak_l1 and weak_l0 fix their own exponent, but a p outside [0, 1] is still an input error
+    B = la.sample_gaussian_matrix(12, 3, la.RngSeed(5))
+    with pytest.raises(ValueError, match="p must lie in"):
+        C.certify(B, mode, p, spec, C.SearchBudget(16, 4))
+
+
 @pytest.mark.parametrize("mode, p", [("weak_l1", 1.0), ("weak_lp", 0.5), ("weak_l0", 0.0)])
 @pytest.mark.parametrize("dim", [1, 3])
 def test_certify_rejects_a_weak_pattern_outside_the_basis(mode, p, dim):

@@ -222,11 +222,14 @@ def test_concentration_pinned_records():
         lambda: ex.run_concentration_check(1000, 0.5, 0.3, trials=0),
         lambda: ex.run_concentration_check(1000, 0.5, 1.5, trials=1),
         lambda: ex.run_concentration_check(1000, 0.5, 0.0, trials=1),
+        lambda: ex.run_concentration_check(1000, 1.5, 0.3, trials=1),
+        lambda: ex.run_concentration_check(1000, 0.0, 0.3, trials=1),
     ],
     ids=[
         "probe-zero-trials", "probe-rho-above-one", "probe-no-rho", "svw-zero-matrices",
         "svw-zero-vectors", "svw-rho-above-one", "concentration-zero-trials",
-        "concentration-rho-above-one", "concentration-rho-zero",
+        "concentration-rho-above-one", "concentration-rho-zero", "concentration-p-above-one",
+        "concentration-p-zero",
     ],
 )
 def test_experiments_reject_empty_or_out_of_range_specs(run):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from lprecovery import gaussian as g
-from lprecovery.quadrature import QuadratureConfig, QuadratureError, integrate
+from lprecovery import quadrature
+from lprecovery.quadrature import QuadratureError, integrate
 
 # oracle values, 30-digit arithmetic, frozen
 MU_HALF = 0.82217895866245855  # 2^{1/4} Gamma(3/4) / sqrt(pi)
@@ -135,14 +136,14 @@ def test_extreme_tilts_stay_finite():
     assert 0.0 < g.mgf_neg(1e6, 1.0) < 1e-5
 
 
-def test_quadrature_error_carries_diagnostics():
-    tiny = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=2)
+def test_quadrature_error_carries_diagnostics(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
 
     def integrand(x):
         return np.power(x, 0.37) * g._SQRT_2_OVER_PI * np.exp(-0.5 * x * x)
 
     with pytest.raises(QuadratureError) as info:
-        integrate(integrand, 0.0, 12.0, tiny)
+        integrate(integrand, 0.0, 12.0)
     assert math.isfinite(info.value.value)
     assert info.value.error_estimate > 0.0
 

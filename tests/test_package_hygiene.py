@@ -12,6 +12,7 @@ without one, and the function-local scipy imports work on a first call.
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import lprecovery
+from lprecovery import bounds, conditions, quadrature
 
 MODULES = sorted(Path(lprecovery.__file__).parent.glob("*.py"))
 
@@ -68,6 +70,18 @@ def test_no_unused_imports(path):
 
 def test_the_checks_see_every_module():
     assert {p.stem for p in MODULES} >= {"__init__", "bounds", "gaussian", "limits", "quadrature", "solvers"}
+
+
+def test_fixed_numerics_have_no_knobs():
+    # the quadrature tolerances and panel budget, the tilt cap and the
+    # pattern-search step shrink are module constants, not settings
+    assert [f.name for f in dataclasses.fields(bounds.ExponentSearchConfig)] == [
+        "gamma_grid", "epsilon_grid", "t_tol", "a_tol", "rho_grid_resolution",
+    ]
+    assert [f.name for f in dataclasses.fields(conditions.SearchBudget)] == ["sphere_samples", "refine_steps", "seed"]
+    assert list(inspect.signature(quadrature.integrate).parameters) == ["f", "a", "b", "points"]
+    assert not hasattr(lprecovery, "QuadratureConfig")
+    assert not hasattr(quadrature, "QuadratureConfig")
 
 
 def _fresh(code: str) -> str:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from lprecovery.quadrature import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, integrate
+from lprecovery import quadrature
+from lprecovery.quadrature import QuadratureError, integrate
 
 
 @pytest.mark.parametrize(
@@ -33,21 +34,12 @@ def test_empty_interval_and_bad_bounds():
         integrate(lambda x: x, 2.0, 1.0)
 
 
-def test_nonconvergence_raises_with_estimate():
-    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=4)
+def test_nonconvergence_raises_with_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
     f = lambda x: np.sin(40 * x) ** 2 + np.sqrt(np.abs(x - 0.3))
     with pytest.raises(QuadratureError) as err:
-        integrate(f, 0.0, 5.0, cfg)
+        integrate(f, 0.0, 5.0)
     assert err.value.error_estimate > 0
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 def test_duplicate_break_points_are_harmless():
@@ -65,18 +57,18 @@ def test_vector_integrand_matches_rowwise_scalar_integrals():
     assert isinstance(got, np.ndarray) and got.shape == (3,)
     for value, f in zip(got, rows):
         want = integrate(f, 0.0, 12.0, points=(0.25, 1.0, 4.0))
-        assert value == pytest.approx(want, rel=DEFAULT_QUADRATURE.rel_tol)
+        assert value == pytest.approx(want, rel=quadrature._REL_TOL)
     scalar = integrate(rows[0], 0.0, 12.0)
     assert type(scalar) is float
 
 
-def test_vector_integrand_holds_every_row_to_the_tolerance():
+def test_vector_integrand_holds_every_row_to_the_tolerance(monkeypatch):
     # the smooth row alone converges on the initial panel; the cusp row
     # forces refinement, and its value must still meet the tolerance
     f = lambda x: np.stack([np.ones_like(x), np.sqrt(x)])
     flat, cusp = integrate(f, 0.0, 1.0)
     assert flat == pytest.approx(1.0, rel=1e-12)
     assert cusp == pytest.approx(2.0 / 3.0, rel=1e-9)
-    cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=2)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
     with pytest.raises(QuadratureError):
-        integrate(f, 0.0, 1.0, cfg)
+        integrate(f, 0.0, 1.0)

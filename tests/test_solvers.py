@@ -112,6 +112,8 @@ def test_l0_budget_guards():
         sv.solve_l0_exhaustive(inst)
     with pytest.raises(sv.BudgetExceededError):
         sv.solve_l0_exhaustive(inst, max_support=2)  # generic y needs >= m columns
+    with pytest.raises(ValueError, match="max_support must be at least 1"):
+        sv.solve_l0_exhaustive(inst, max_support=0)
 
 
 def test_irls_zero_measurements():
