@@ -286,6 +286,18 @@ def _check_spec_keys(raw, required, optional, prefix: str = "") -> None:
         raise click.BadParameter(f"unknown key {prefix + unknown[0]!r}; expected {expected}", param_hint="'--spec'")
 
 
+def _spec_value(raw: dict, key: str, convert, *default):
+    """``convert`` of the spec's value at ``key`` (or of ``default`` when absent).
+
+    A value of the wrong type becomes a ``ValueError`` that names the key.
+    """
+    value = raw.get(key, *default) if default else raw[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"spec key {key!r}: {exc}") from None
+
+
 @cli.command("experiment")
 @click.argument("kind", type=click.Choice(["example1", "phase", "strong-vs-weak", "weak-probe", "concentration"]))
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), required=True,
@@ -300,29 +312,29 @@ def experiment_cmd(kind, spec_path, csv_out, output, fmt) -> None:
     _log_config("experiment", kind=kind, spec=raw, output=output, format=fmt)
     _check_spec_keys(raw, *_SPEC_KEYS[kind])
     if kind == "example1":
-        payload = experiments.run_example1(int(raw["k"]), float(raw.get("p", 0.5)))
+        payload = experiments.run_example1(_spec_value(raw, "k", int), _spec_value(raw, "p", float, 0.5))
         _emit(payload, output, fmt)
         return
     if kind == "phase":
         spec = experiments.PhaseDiagramSpec(
-            n=int(raw["n"]),
-            m=int(raw["m"]),
-            p_list=tuple(raw["p_list"]),
-            rho_grid=tuple(raw["rho_grid"]),
-            trials_per_point=int(raw["trials_per_point"]),
+            n=_spec_value(raw, "n", int),
+            m=_spec_value(raw, "m", int),
+            p_list=_spec_value(raw, "p_list", tuple),
+            rho_grid=_spec_value(raw, "rho_grid", tuple),
+            trials_per_point=_spec_value(raw, "trials_per_point", int),
             amplitude_model=raw.get("amplitude_model", "standard_normal"),
-            seed=RngSeed(int(raw.get("seed", 0))),
+            seed=RngSeed(_spec_value(raw, "seed", int, 0)),
         )
         report = experiments.run_phase_transition(spec)
     elif kind == "strong-vs-weak":
         report = experiments.run_strong_vs_weak(
-            n=int(raw["n"]),
-            m=int(raw["m"]),
-            p_list=tuple(raw["p_list"]),
-            rho_grid=tuple(raw["rho_grid"]),
-            matrices=int(raw["matrices"]),
-            vectors_per_point=int(raw["vectors_per_point"]),
-            seed=RngSeed(int(raw.get("seed", 0))),
+            n=_spec_value(raw, "n", int),
+            m=_spec_value(raw, "m", int),
+            p_list=_spec_value(raw, "p_list", tuple),
+            rho_grid=_spec_value(raw, "rho_grid", tuple),
+            matrices=_spec_value(raw, "matrices", int),
+            vectors_per_point=_spec_value(raw, "vectors_per_point", int),
+            seed=RngSeed(_spec_value(raw, "seed", int, 0)),
         )
     elif kind == "weak-probe":
         budget_raw = raw.get("budget", {})
@@ -333,23 +345,23 @@ def experiment_cmd(kind, spec_path, csv_out, output, fmt) -> None:
                 param_hint="'--spec'",
             )
         _check_spec_keys(budget_raw, (), ("sphere_samples", "refine_steps"), "budget.")
-        budget = conditions.SearchBudget(**{key: int(value) for key, value in budget_raw.items()})
+        budget = conditions.SearchBudget(**{key: _spec_value(budget_raw, key, int) for key in budget_raw})
         report = experiments.run_weak_threshold_probe(
-            n=int(raw["n"]),
-            codim=int(raw["codim"]),
-            p=float(raw["p"]),
-            rho_list=tuple(raw["rho_list"]),
-            trials=int(raw["trials"]),
+            n=_spec_value(raw, "n", int),
+            codim=_spec_value(raw, "codim", int),
+            p=_spec_value(raw, "p", float),
+            rho_list=_spec_value(raw, "rho_list", tuple),
+            trials=_spec_value(raw, "trials", int),
             budget=budget,
-            seed=RngSeed(int(raw.get("seed", 0))),
+            seed=RngSeed(_spec_value(raw, "seed", int, 0)),
         )
     else:
         report = experiments.run_concentration_check(
-            n=int(raw["n"]),
-            p=float(raw["p"]),
-            rho=float(raw["rho"]),
-            trials=int(raw["trials"]),
-            seed=RngSeed(int(raw.get("seed", 0))),
+            n=_spec_value(raw, "n", int),
+            p=_spec_value(raw, "p", float),
+            rho=_spec_value(raw, "rho", float),
+            trials=_spec_value(raw, "trials", int),
+            seed=RngSeed(_spec_value(raw, "seed", int, 0)),
         )
     log.info("experiment finished in %.2fs", report.wall_time)
     if csv_out:

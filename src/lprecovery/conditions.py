@@ -122,19 +122,18 @@ def partition_support(B: np.ndarray, z: np.ndarray, pat: SupportPattern):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     z = np.asarray(z, dtype=float)
     rows = pat.support_array
-    fighting = _fighting(B, z, B @ z, pat)
+    fighting = _fighting(B, z, (B @ z)[rows], pat)
     return tuple(int(i) for i in rows[fighting]), tuple(int(i) for i in rows[~fighting])
 
 
-def _fighting(B: np.ndarray, z: np.ndarray, bz: np.ndarray, pat: SupportPattern) -> np.ndarray:
+def _fighting(B: np.ndarray, z: np.ndarray, vals: np.ndarray, pat: SupportPattern) -> np.ndarray:
     """Mask over ``pat.support``: True where the row fights the sign pattern.
 
-    A row fights when (B_i z) * sign_i < 0 and |B_i z| exceeds 1e-12 |z| |B_i|;
-    the row norms are needed only for the rare rows under the coarser bound
-    1e-12 |z| * 2|B|_F.
+    ``vals`` is B_T z, in support order.  A row fights when (B_i z) * sign_i < 0
+    and |B_i z| exceeds 1e-12 |z| |B_i|; the row norms are needed only for the
+    rare rows under the coarser bound 1e-12 |z| * 2|B|_F.
     """
     rows = pat.support_array
-    vals = bz[rows]
     fighting = vals * pat.sign_array < 0
     norm_z = np.linalg.norm(z)
     near_zero = fighting & (np.abs(vals) <= _ZERO_REL_TOL * norm_z * 2.0 * np.linalg.norm(B))
@@ -183,8 +182,8 @@ def weak_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, pat: Suppor
     z = np.asarray(z, dtype=float)
     bz = B @ z
     rows = pat.support_array
-    fighting = _fighting(B, z, bz, pat)
     bz_support = bz[rows]
+    fighting = _fighting(B, z, bz_support, pat)
     bz_minus, bz_plus = bz_support[fighting], bz_support[~fighting]
     bz_comp = bz[_complement(bz.size, rows)]
     if p == 1.0:
@@ -331,19 +330,25 @@ def linprog(*args, **kwargs):
 def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict | None:
     """Exact weak-l1 verdict by linear programming, or None if undecided.
 
-    With s the pattern's signs, rhs - lhs at z is f(z) = s^T B_T z +
-    ||B_Tc z||_1, so the condition is f > 0 on every z != 0.  The LP
+    With s the pattern's signs and c = -B_T^T s, rhs - lhs at z is f(z) =
+    ||B_Tc z||_1 - c^T z, so the condition is f > 0 on every z != 0.  It
+    holds iff tau = min ||lam||_inf subject to B_Tc^T lam = c is below 1,
+    when B_Tc has full column rank.  tau comes from the scale program
 
-        tau = min ||lam||_inf  subject to  B_Tc^T lam = -B_T^T s
+        s* = max s  subject to  B_Tc^T mu = s c,  -1 <= mu_i <= 1,  s >= 0
 
-    decides it when B_Tc has full column rank.  If tau < 1, lam is the
-    certificate: with r = B_Tc^T lam + B_T^T s (one matmul) and sigma_min the
-    smallest singular value of B_Tc, f(z) >= ((1 - tau) sigma_min - |r|) |z|,
-    which must come out positive.  If tau >= 1, the equality marginals y
-    (s^T B_T y = -tau, ||B_Tc y||_1 <= 1) give f(y) <= 1 - tau <= 0.  A
-    rank-deficient B_Tc is broken by its null direction.  Falsified verdicts
-    are re-evaluated through ``weak_condition_holds_for``; anything that does
-    not re-check returns None and leaves the verdict to the search.
+    (dim equality rows, box bounds), as tau = 1/s* with lam = mu*/s*.  Its
+    dual is min ||B_Tc y||_1 subject to c^T y = 1, of value 1/tau.  If tau < 1,
+    lam is the certificate: with r = B_Tc^T lam - c and sigma_min the smallest
+    singular value of B_Tc, f(z) >= ((1 - tau) sigma_min - |r|) |z|, which must
+    come out positive.  If tau >= 1, the equality marginals y (up to sign)
+    give f(y) = 1/tau - 1 <= 0.  At c = 0 (an empty support, or B_T^T s = 0)
+    the program is unbounded while tau = 0, so lam = 0 is the certificate and
+    no LP is solved.  HiGHS presolve is off: with dim rows it has little to
+    reduce and costs more time than it saves.  A rank-deficient B_Tc is
+    broken by its null direction.  Falsified verdicts are re-evaluated
+    through ``weak_condition_holds_for``; anything that does not re-check
+    returns None and leaves the verdict to the search.
     """
     rows = pat.support_array
     comp = B[_complement(B.shape[0], rows)]
@@ -356,18 +361,20 @@ def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict 
     if sigma_min <= max(padded.shape) * np.finfo(float).eps * sigma[0]:
         null = vt[-1]
         return _lp_witness(B, pat, (null, -null), {})
-    res = linprog(
-        np.r_[np.zeros(m), 1.0],
-        A_ub=np.block([[np.eye(m), -np.ones((m, 1))], [-np.eye(m), -np.ones((m, 1))]]),
-        b_ub=np.zeros(2 * m),
-        A_eq=np.hstack([comp.T, np.zeros((dim, 1))]),
-        b_eq=target,
-        bounds=[(None, None)] * m + [(0.0, None)],
-        method="highs",
-    )
-    if res.status != 0:
-        return None
-    lam = res.x[:m]
+    if target.any():
+        res = linprog(
+            np.r_[np.zeros(m), -1.0],
+            A_eq=np.hstack([comp.T, -target[:, None]]),
+            b_eq=np.zeros(dim),
+            bounds=[(-1.0, 1.0)] * m + [(0.0, None)],
+            method="highs",
+            options={"presolve": False},
+        )
+        if res.status != 0 or res.x[m] <= 0.0:
+            return None
+        lam = res.x[:m] / res.x[m]
+    else:
+        lam = np.zeros(m)
     tau = float(np.abs(lam).max())
     if tau < 1.0:
         residual = float(np.linalg.norm(comp.T @ lam - target))

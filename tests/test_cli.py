@@ -235,6 +235,23 @@ def test_experiment_rejects_empty_or_out_of_range_specs(tmp_path, capsys, kind, 
     assert "invalid parameter" in err
 
 
+@pytest.mark.parametrize(
+    "kind, spec, key",
+    [
+        ("phase", {"n": None, "m": 10, "p_list": [0.5], "rho_grid": [0.05], "trials_per_point": 2}, "n"),
+        ("weak-probe", {"n": 40, "codim": 3, "p": 0.5, "rho_list": 0.2, "trials": 1}, "rho_list"),
+    ],
+)
+def test_experiment_rejects_a_spec_value_of_the_wrong_type(tmp_path, capsys, kind, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "experiment", kind, "--spec", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"invalid parameter: spec key {key!r}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode", ["weak_lp", "weak_l1"])
 def test_certify_weak_pattern_outside_the_basis_exits_one(tmp_path, capsys, mode):
     path = tmp_path / "B.csv"

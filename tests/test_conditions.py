@@ -413,20 +413,85 @@ def _random_pattern(n: int, size: int, seed: int) -> C.SupportPattern:
     return C.SupportPattern(tuple(int(i) for i in support), tuple(int(v) for v in rng.choice([-1, 1], size=size)))
 
 
-def test_weak_l1_lp_verdict_agrees_with_the_primal_lp():
+def _pattern_sets_n200():
+    """(B, pattern) on 200 x 5 kernels: four support sizes on each of 20 seeds."""
     n, codim = 200, 5
-    verdicts = []
     for seed in range(20):
         B = la.sample_gaussian_matrix(n, codim, la.RngSeed(4100 + seed))
         for rho in (0.5, 0.8, 0.9, 0.95):
-            pat = _random_pattern(n, int(round(rho * n)), 4200 + seed)
-            verdict = C.certify(B, "weak_l1", 1.0, pat)
-            assert verdict.certificate_exact
-            optimum = _weak_l1_primal_optimum(B, pat)
-            tol = 1e-9 * float(np.abs(B).sum())
-            assert verdict.holds == (optimum >= -tol)
-            verdicts.append(verdict.holds)
+            yield B, _random_pattern(n, int(round(rho * n)), 4200 + seed)
+
+
+def _probe_kernels_600():
+    """(B, pattern) as criterion 08's p = 0.5 probe draws them (master seed 600), rho in {0.5, 0.8}."""
+    for ri, rho in enumerate((0.5, 0.8)):
+        for trial in range(6):
+            B = la.sample_gaussian_matrix(600, 6, la.RngSeed(600).child(ri, trial))
+            yield B, C.SupportPattern.nonnegative(int(round(rho * 600)))
+
+
+def test_weak_l1_lp_verdict_agrees_with_the_primal_lp():
+    verdicts = []
+    for B, pat in _pattern_sets_n200():
+        verdict = C.certify(B, "weak_l1", 1.0, pat)
+        assert verdict.certificate_exact
+        optimum = _weak_l1_primal_optimum(B, pat)
+        tol = 1e-9 * float(np.abs(B).sum())
+        assert verdict.holds == (optimum >= -tol)
+        verdicts.append(verdict.holds)
     assert any(verdicts) and not all(verdicts)
+
+
+def _reference_tau(B, pat):
+    """min ||lam||_inf subject to B_Tc^T lam = -B_T^T s, posed with 2m inequality rows |lam_i| <= t."""
+    support = list(pat.support)
+    comp = [i for i in range(B.shape[0]) if i not in set(support)]
+    B_c = B[comp]
+    m, dim = B_c.shape
+    res = linprog(
+        np.r_[np.zeros(m), 1.0],
+        A_ub=np.block([[np.eye(m), -np.ones((m, 1))], [-np.eye(m), -np.ones((m, 1))]]),
+        b_ub=np.zeros(2 * m),
+        A_eq=np.hstack([B_c.T, np.zeros((dim, 1))]),
+        b_eq=-(np.asarray(pat.signs, dtype=float) @ B[support]),
+        bounds=[(None, None)] * m + [(0.0, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return float(np.abs(res.x[:m]).max())
+
+
+@pytest.mark.parametrize("cases", [_pattern_sets_n200, _probe_kernels_600])
+def test_weak_l1_tau_matches_the_sup_norm_lp(cases):
+    for B, pat in cases():
+        verdict = C.certify(B, "weak_l1", 1.0, pat)
+        tau = _reference_tau(B, pat)
+        assert verdict.certificate_exact
+        assert verdict.holds == (tau < 1.0)
+        assert verdict.detail["tau"] == pytest.approx(tau, rel=1e-9, abs=0.0)
+
+
+def test_weak_l1_lp_has_dim_equality_rows_and_no_inequality_rows(monkeypatch):
+    calls = []
+
+    def recording_linprog(*args, **kwargs):
+        calls.append(kwargs)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(C, "linprog", recording_linprog)
+    B, pat = next(_probe_kernels_600())
+    assert C.certify(B, "weak_l1", 1.0, pat).certificate_exact
+    (kwargs,) = calls
+    assert kwargs.get("A_ub") is None
+    assert np.shape(kwargs["A_eq"])[0] == B.shape[1]
+
+
+def test_weak_l1_zero_target_holds_exactly():
+    # an empty support leaves c = -B_T^T s = 0: tau = 0 by lam = 0
+    B = la.sample_gaussian_matrix(40, 4, la.RngSeed(4600))
+    verdict = C.certify(B, "weak_l1", 1.0, C.SupportPattern((), ()))
+    assert verdict.holds and verdict.certificate_exact
+    assert verdict.detail["tau"] == 0.0
 
 
 def test_weak_l1_holds_certificate_rechecks_from_its_detail():
