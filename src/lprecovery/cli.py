@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 usage/input error, 2 numerical or infeasibility
 error.  Every run logs its fully resolved configuration to stderr; the
 primary artifact (stdout or ``--output``) is byte-identical across runs
 with the same arguments and seed.
+
+Every JSON input (a solve job, a support pattern, an experiment spec) is one
+object holding its kind's required keys and any of its optional ones.  Each
+value goes through the one converter ``_KEYS`` gives its key, so a key means
+the same in every file.  A file that is not an object, lacks a key, has an
+unknown key or holds a value of the wrong type exits 1 with a message naming
+the option and the key; so does an input file that cannot be read.
 """
 
 from __future__ import annotations
@@ -25,13 +32,14 @@ from .linalg import (
     RngSeed,
     null_space_basis,
     read_matrix_csv,
+    read_vector_csv,
     write_vector_csv,
 )
 from .quadrature import QuadratureError
 
 log = logging.getLogger("lprecovery")
 
-_USAGE_ERRORS = (MatrixFormatError, json.JSONDecodeError)
+_USAGE_ERRORS = (MatrixFormatError, json.JSONDecodeError, OSError)
 _NUMERICAL_ERRORS = (
     QuadratureError,
     bounds.BoundSearchError,
@@ -65,6 +73,73 @@ def _emit(payload: dict, output: str | None, fmt: str) -> None:
 
 def _log_config(command: str, **params) -> None:
     log.info("%s %s", command, json.dumps(params, sort_keys=True, default=str))
+
+
+class _BadValue(ValueError):
+    """A JSON value of the wrong type, named by option and key."""
+
+
+def _checked(raw, required, optional, option: str, prefix: str = "") -> dict:
+    """``raw``'s values converted by ``_KEYS``, once ``raw`` is an object with only the keys allowed."""
+    hint = f"'--{option}'"
+    if not isinstance(raw, dict):
+        what = prefix.rstrip(".") or f"the {option}"
+        raise click.BadParameter(f"{what} must be a JSON object, got {type(raw).__name__}", param_hint=hint)
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise click.BadParameter(f"missing key {prefix + missing[0]!r}", param_hint=hint)
+    unknown = sorted(set(raw) - set(required) - set(optional))
+    if unknown:
+        expected = ", ".join(prefix + key for key in required + optional)
+        raise click.BadParameter(f"unknown key {prefix + unknown[0]!r}; expected {expected}", param_hint=hint)
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _KEYS[key](value)
+        except _BadValue:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise _BadValue(f"{option} key {prefix + key!r}: {exc}") from None
+    return values
+
+
+def _numbers(value) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _budget(value) -> conditions.SearchBudget:
+    if isinstance(value, dict) and "seed" in value:
+        raise click.BadParameter(
+            "budget.seed has no effect: every trial's search seed derives from the "
+            "top-level seed; set that instead",
+            param_hint="'--spec'",
+        )
+    return conditions.SearchBudget(**_checked(value, (), ("sphere_samples", "refine_steps"), "spec", "budget."))
+
+
+# the conversion of each JSON key's value, the same in every file
+_KEYS = {
+    **dict.fromkeys(("k", "n", "m", "codim", "trials", "trials_per_point", "matrices", "vectors_per_point"), int),
+    **dict.fromkeys(("sphere_samples", "refine_steps"), int),
+    **dict.fromkeys(("p", "rho"), float),
+    **dict.fromkeys(("p_list", "rho_grid", "rho_list"), _numbers),
+    "seed": lambda value: RngSeed(int(value)),
+    "amplitude_model": _text,
+    "budget": _budget,
+    "support": lambda value: tuple(int(i) - 1 for i in _numbers(value)),  # files use 1-based indices
+    "signs": lambda value: tuple(int(s) for s in _numbers(value)),
+    "matrix": _text,
+    "y": _text,
+    "x_true": lambda value: None if value is None else _text(value),
+}
 
 
 _output_option = click.option("--output", type=click.Path(dir_okay=False), help="Write the result to this file as well as stdout.")
@@ -178,7 +253,15 @@ def weak_bound_cmd(alpha, p, gamma_points, epsilon_points, a_tol, output, fmt) -
 def solve_cmd(instance, method, max_support, x_out, output, fmt) -> None:
     """Solve one recovery instance."""
     _log_config("solve", instance=instance, method=method, max_support=max_support, output=output, format=fmt)
-    inst = solvers.load_instance(instance)
+    job = _checked(json.loads(Path(instance).read_text()), ("matrix", "y"), ("p", "x_true"), "instance")
+    base = Path(instance).parent  # CSV paths are relative to the job file
+    x_true = job.get("x_true")  # absent, null or "": no ground truth
+    inst = solvers.RecoveryInstance(
+        A=read_matrix_csv(base / job["matrix"]),
+        y=read_vector_csv(base / job["y"]),
+        p=job.get("p", 1.0),
+        x_true=read_vector_csv(base / x_true) if x_true else None,
+    )
     if method == "l1":
         result = solvers.solve_l1(inst)
     elif method == "lp":
@@ -191,14 +274,6 @@ def solve_cmd(instance, method, max_support, x_out, output, fmt) -> None:
         write_vector_csv(x_out, result.x_hat)
         payload["x_out"] = x_out
     _emit(payload, output, fmt)
-
-
-def _load_pattern(path) -> conditions.SupportPattern:
-    with open(path) as fh:
-        raw = json.load(fh)
-    support = tuple(int(i) - 1 for i in raw["support"])  # file uses 1-based indices
-    signs = tuple(int(s) for s in raw["signs"])
-    return conditions.SupportPattern(support=support, signs=signs)
 
 
 @cli.command("certify")
@@ -225,6 +300,11 @@ def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, re
         support=support, samples=samples, refine_steps=refine_steps, seed=seed,
         output=output, format=fmt,
     )
+    # strong mode reads --rho, sectional mode --support, weak modes --pattern or else --rho
+    used = {"strong": "--rho", "sectional": "--support"}.get(mode, "--rho" if pattern is None else "--pattern")
+    for option, value in {"--rho": rho, "--pattern": pattern, "--support": support}.items():
+        if value is not None and option != used:
+            raise click.UsageError(f"{mode} mode ignores {option}; it reads {used}")
     M = read_matrix_csv(matrix)
     B = null_space_basis(M) if measurement else M
     n = B.shape[0] if B.ndim == 2 else B.size
@@ -238,7 +318,8 @@ def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, re
         spec = tuple(int(tok) - 1 for tok in support.split(","))
     else:
         if pattern is not None:
-            spec = _load_pattern(pattern)
+            raw = json.loads(Path(pattern).read_text())
+            spec = conditions.SupportPattern(**_checked(raw, ("support", "signs"), (), "pattern"))
         elif rho is not None:
             spec = conditions.SupportPattern.nonnegative(max(1, int(round(rho * n))))
         else:
@@ -262,44 +343,20 @@ def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, re
     _emit(payload, output, fmt)
 
 
-# keys of each experiment spec: (required, optional)
-_SPEC_KEYS = {
-    "example1": (("k",), ("p",)),
-    "phase": (("n", "m", "p_list", "rho_grid", "trials_per_point"), ("amplitude_model", "seed")),
-    "strong-vs-weak": (("n", "m", "p_list", "rho_grid", "matrices", "vectors_per_point"), ("seed",)),
-    "weak-probe": (("n", "codim", "p", "rho_list", "trials"), ("seed", "budget")),
-    "concentration": (("n", "p", "rho", "trials"), ("seed",)),
+# each experiment kind: (runner, required spec keys, optional spec keys)
+_EXPERIMENTS = {
+    "example1": (experiments.run_example1, ("k",), ("p",)),
+    "phase": (lambda **spec: experiments.run_phase_transition(experiments.PhaseDiagramSpec(**spec)),
+              ("n", "m", "p_list", "rho_grid", "trials_per_point"), ("amplitude_model", "seed")),
+    "strong-vs-weak": (experiments.run_strong_vs_weak,
+                       ("n", "m", "p_list", "rho_grid", "matrices", "vectors_per_point"), ("seed",)),
+    "weak-probe": (experiments.run_weak_threshold_probe, ("n", "codim", "p", "rho_list", "trials"), ("seed", "budget")),
+    "concentration": (experiments.run_concentration_check, ("n", "p", "rho", "trials"), ("seed",)),
 }
 
 
-def _check_spec_keys(raw, required, optional, prefix: str = "") -> None:
-    """Reject a spec that is not a JSON object, lacks a required key or has an unknown one."""
-    if not isinstance(raw, dict):
-        what = prefix.rstrip(".") or "the spec"
-        raise click.BadParameter(f"{what} must be a JSON object, got {type(raw).__name__}", param_hint="'--spec'")
-    missing = [key for key in required if key not in raw]
-    if missing:
-        raise click.BadParameter(f"missing key {prefix + missing[0]!r}", param_hint="'--spec'")
-    unknown = sorted(set(raw) - set(required) - set(optional))
-    if unknown:
-        expected = ", ".join(prefix + key for key in required + optional)
-        raise click.BadParameter(f"unknown key {prefix + unknown[0]!r}; expected {expected}", param_hint="'--spec'")
-
-
-def _spec_value(raw: dict, key: str, convert, *default):
-    """``convert`` of the spec's value at ``key`` (or of ``default`` when absent).
-
-    A value of the wrong type becomes a ``ValueError`` that names the key.
-    """
-    value = raw.get(key, *default) if default else raw[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"spec key {key!r}: {exc}") from None
-
-
 @cli.command("experiment")
-@click.argument("kind", type=click.Choice(["example1", "phase", "strong-vs-weak", "weak-probe", "concentration"]))
+@click.argument("kind", type=click.Choice(list(_EXPERIMENTS)))
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="JSON file with the experiment parameters.")
 @click.option("--csv-out", type=click.Path(dir_okay=False), help="Write the grid summary CSV here.")
@@ -307,66 +364,16 @@ def _spec_value(raw: dict, key: str, convert, *default):
 @_format_option
 def experiment_cmd(kind, spec_path, csv_out, output, fmt) -> None:
     """Run a seeded experiment described by a JSON spec file."""
-    with open(spec_path) as fh:
-        raw = json.load(fh)
+    raw = json.loads(Path(spec_path).read_text())
     _log_config("experiment", kind=kind, spec=raw, output=output, format=fmt)
-    _check_spec_keys(raw, *_SPEC_KEYS[kind])
-    if kind == "example1":
-        payload = experiments.run_example1(_spec_value(raw, "k", int), _spec_value(raw, "p", float, 0.5))
-        _emit(payload, output, fmt)
-        return
-    if kind == "phase":
-        spec = experiments.PhaseDiagramSpec(
-            n=_spec_value(raw, "n", int),
-            m=_spec_value(raw, "m", int),
-            p_list=_spec_value(raw, "p_list", tuple),
-            rho_grid=_spec_value(raw, "rho_grid", tuple),
-            trials_per_point=_spec_value(raw, "trials_per_point", int),
-            amplitude_model=raw.get("amplitude_model", "standard_normal"),
-            seed=RngSeed(_spec_value(raw, "seed", int, 0)),
-        )
-        report = experiments.run_phase_transition(spec)
-    elif kind == "strong-vs-weak":
-        report = experiments.run_strong_vs_weak(
-            n=_spec_value(raw, "n", int),
-            m=_spec_value(raw, "m", int),
-            p_list=_spec_value(raw, "p_list", tuple),
-            rho_grid=_spec_value(raw, "rho_grid", tuple),
-            matrices=_spec_value(raw, "matrices", int),
-            vectors_per_point=_spec_value(raw, "vectors_per_point", int),
-            seed=RngSeed(_spec_value(raw, "seed", int, 0)),
-        )
-    elif kind == "weak-probe":
-        budget_raw = raw.get("budget", {})
-        if isinstance(budget_raw, dict) and "seed" in budget_raw:
-            raise click.BadParameter(
-                "budget.seed has no effect: every trial's search seed derives from the "
-                "top-level seed; set that instead",
-                param_hint="'--spec'",
-            )
-        _check_spec_keys(budget_raw, (), ("sphere_samples", "refine_steps"), "budget.")
-        budget = conditions.SearchBudget(**{key: _spec_value(budget_raw, key, int) for key in budget_raw})
-        report = experiments.run_weak_threshold_probe(
-            n=_spec_value(raw, "n", int),
-            codim=_spec_value(raw, "codim", int),
-            p=_spec_value(raw, "p", float),
-            rho_list=_spec_value(raw, "rho_list", tuple),
-            trials=_spec_value(raw, "trials", int),
-            budget=budget,
-            seed=RngSeed(_spec_value(raw, "seed", int, 0)),
-        )
-    else:
-        report = experiments.run_concentration_check(
-            n=_spec_value(raw, "n", int),
-            p=_spec_value(raw, "p", float),
-            rho=_spec_value(raw, "rho", float),
-            trials=_spec_value(raw, "trials", int),
-            seed=RngSeed(_spec_value(raw, "seed", int, 0)),
-        )
-    log.info("experiment finished in %.2fs", report.wall_time)
-    if csv_out:
-        experiments.report_to_csv(report, csv_out)
-    _emit(report.to_dict(), output, fmt)
+    run, required, optional = _EXPERIMENTS[kind]
+    result = run(**_checked(raw, required, optional, "spec"))
+    if isinstance(result, experiments.ExperimentReport):
+        log.info("experiment finished in %.2fs", result.wall_time)
+        if csv_out:
+            experiments.report_to_csv(result, csv_out)
+        result = result.to_dict()
+    _emit(result, output, fmt)
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,6 @@ per-trial records that produced every aggregate number.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -81,14 +80,8 @@ class ExperimentReport:
     points: list
     wall_time: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {"kind": self.kind, "spec": self.spec, "points": self.points}
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "spec": self.spec, "points": self.points}
 
 
 def report_to_csv(report: ExperimentReport, path) -> None:
@@ -340,7 +333,7 @@ def run_strong_vs_weak(
     rho_grid,
     matrices: int,
     vectors_per_point: int,
-    seed: RngSeed,
+    seed: RngSeed = RngSeed(0),
 ) -> ExperimentReport:
     """Strong- versus weak-recovery comparison on a shared matrix ensemble.
 

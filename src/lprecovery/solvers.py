@@ -16,14 +16,12 @@ ground truth, matching the experiment protocol used throughout.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .linalg import IllConditionedError, min_norm_weighted_solve, read_matrix_csv, read_vector_csv
+from .linalg import IllConditionedError, min_norm_weighted_solve
 
 __all__ = [
     "RecoveryInstance",
@@ -34,7 +32,6 @@ __all__ = [
     "solve_l1",
     "solve_lp_irls",
     "solve_l0_exhaustive",
-    "load_instance",
     "result_to_dict",
     "RECOVERY_TOL",
 ]
@@ -281,18 +278,6 @@ def solve_l0_exhaustive(inst: RecoveryInstance, max_support: int | None = None) 
                 x[list(support)] = coef
                 return _finish(inst, x, float(size), checked, True)
     raise BudgetExceededError(f"no support of size <= {max_support} fits the measurements")
-
-
-def load_instance(path) -> RecoveryInstance:
-    """Instance from a JSON job file referencing matrix/vector CSV paths."""
-    path = Path(path)
-    with open(path) as fh:
-        job = json.load(fh)
-    base = path.parent
-    A = read_matrix_csv(base / job["matrix"])
-    y = read_vector_csv(base / job["y"])
-    x_true = read_vector_csv(base / job["x_true"]) if "x_true" in job and job["x_true"] else None
-    return RecoveryInstance(A=A, y=y, p=float(job.get("p", 1.0)), x_true=x_true)
 
 
 def result_to_dict(result: SolverResult) -> dict:

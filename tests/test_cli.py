@@ -402,3 +402,112 @@ def test_experiment_specs_are_checked_by_key(tmp_path, capsys, kind, spec, messa
     assert code == 1
     assert out == ""
     assert "--spec" in err and message in err
+
+
+def test_job_file_roundtrip(tmp_path, capsys):
+    from conftest import seeded_sparse_instance
+
+    inst = seeded_sparse_instance(31, m=6, n=12, sparsity=2, p=0.5)
+    la.write_matrix_csv(tmp_path / "A.csv", inst.A)
+    la.write_vector_csv(tmp_path / "y.csv", inst.y)
+    la.write_vector_csv(tmp_path / "x.csv", inst.x_true)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"matrix": "A.csv", "y": "y.csv", "x_true": "x.csv", "p": 0.5}))
+    code, out, _ = run_cli(capsys, "solve", "--instance", str(job), "--method", "lp")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p"] == 0.5
+    assert payload["recovered"] is True
+    assert set(payload) >= {"objective", "iterations", "converged", "x_hat", "recovered"}
+    # an x_true that is null or "" means no ground truth, as when it is absent
+    for x_true in (None, ""):
+        job.write_text(json.dumps({"matrix": "A.csv", "y": "y.csv", "x_true": x_true, "p": 0.5}))
+        code, out, _ = run_cli(capsys, "solve", "--instance", str(job), "--method", "lp")
+        assert code == 0
+        assert "recovered" not in json.loads(out)
+
+
+# every JSON input: (its option, a valid value, a key and a value of the wrong type for it)
+_JOB = {"matrix": "A.csv", "y": "y.csv", "p": 0.5}
+_JSON_INPUTS = {
+    "instance": ("instance", _JOB, "matrix", 5),
+    "pattern": ("pattern", {"support": [1, 2], "signs": [1, -1]}, "support", 5),
+    "example1": ("spec", {"k": 2}, "k", None),
+    "phase": ("spec", {"n": 20, "m": 10, "p_list": [0.5], "rho_grid": [0.05], "trials_per_point": 2}, "rho_grid",
+              ["a"]),
+    "strong-vs-weak": ("spec", {"n": 20, "m": 10, "p_list": [1.0], "rho_grid": [0.2], "matrices": 1,
+                                "vectors_per_point": 1}, "p_list", "0.5"),
+    "weak-probe": ("spec", _PROBE_SPEC, "trials", "two"),
+    "concentration": ("spec", {"n": 1000, "p": 0.5, "rho": 0.3, "trials": 2}, "seed", "x"),
+}
+
+
+def _bad_json_inputs():
+    """(target, file content, a fragment of the message); a str is the file's raw text."""
+    for target, (option, good, key, value) in _JSON_INPUTS.items():
+        first = next(iter(good))
+        yield pytest.param(target, [1, 2], f"the {option} must be a JSON object, got list", id=f"{target}-list")
+        yield pytest.param(target, {k: v for k, v in good.items() if k != first}, f"missing key {first!r}",
+                           id=f"{target}-missing")
+        yield pytest.param(target, {**good, "sed": 3}, "unknown key 'sed'", id=f"{target}-unknown")
+        yield pytest.param(target, {**good, key: value}, f"invalid parameter: {option} key {key!r}",
+                           id=f"{target}-wrong-type")
+        yield pytest.param(target, "", "input error", id=f"{target}-empty")
+    yield pytest.param("instance", {"matrix": "A.csv"}, "missing key 'y'", id="instance-no-y")
+    yield pytest.param("instance", {**_JOB, "p": None}, "invalid parameter: instance key 'p'", id="instance-p-null")
+    yield pytest.param("instance", {**_JOB, "y": "absent.csv"}, "absent.csv", id="instance-missing-csv")
+    yield pytest.param("pattern", {"support": [1, 2]}, "missing key 'signs'", id="pattern-no-signs")
+    yield pytest.param("weak-probe", {**_PROBE_SPEC, "budget": {"refine_steps": "x"}},
+                       "invalid parameter: spec key 'budget.refine_steps'", id="probe-budget-wrong-type")
+
+
+@pytest.mark.parametrize("target, content, message", _bad_json_inputs())
+def test_every_json_input_is_checked(tmp_path, capsys, target, content, message):
+    la.write_matrix_csv(tmp_path / "A.csv", la.sample_gaussian_matrix(4, 8, 21))
+    la.write_vector_csv(tmp_path / "y.csv", np.ones(4))
+    la.write_matrix_csv(tmp_path / "B.csv", la.sample_gaussian_matrix(12, 3, la.RngSeed(4)))
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    if target == "instance":
+        argv = ["solve", "--instance", str(path), "--method", "l1"]
+    elif target == "pattern":
+        argv = ["certify", "--matrix", str(tmp_path / "B.csv"), "--mode", "weak_lp", "--p", "0.5", "--pattern", str(path)]
+    else:
+        argv = ["experiment", target, "--spec", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "mode, extra, ignored",
+    [
+        ("weak_lp", ["--pattern", "P", "--rho", "0.25"], "--rho"),
+        ("strong", ["--rho", "0.25", "--pattern", "P"], "--pattern"),
+        ("strong", ["--rho", "0.25", "--support", "1,2"], "--support"),
+        ("sectional", ["--support", "1,2", "--rho", "0.25"], "--rho"),
+        ("sectional", ["--support", "1,2", "--pattern", "P"], "--pattern"),
+        ("weak_l1", ["--rho", "0.25", "--support", "1,2"], "--support"),
+        ("weak_l0", ["--pattern", "P", "--support", "1,2"], "--support"),
+    ],
+)
+def test_certify_rejects_an_option_its_mode_ignores(tmp_path, capsys, mode, extra, ignored):
+    path = tmp_path / "B.csv"
+    la.write_matrix_csv(path, la.sample_gaussian_matrix(12, 3, la.RngSeed(4)))
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps({"support": [1, 2], "signs": [1, -1]}))
+    extra = [str(pattern) if arg == "P" else arg for arg in extra]
+    code, out, err = run_cli(capsys, "certify", "--matrix", str(path), "--mode", mode, "--p", "0.5", *extra)
+    assert code == 1
+    assert out == ""
+    assert f"{mode} mode ignores {ignored}" in err
+
+
+def test_an_output_path_in_a_missing_directory_exits_one(tmp_path, capsys):
+    target = tmp_path / "absent" / "out.json"
+    code, out, err = run_cli(capsys, "threshold", "weak-limit", "--p", "0.5", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err

@@ -3,6 +3,7 @@
 Every ``__all__`` entry must name something the module defines, and no
 module but ``__init__.py`` may import a name it never uses, so a deleted
 class or constant cannot linger as a stale export or import.
+The CLI's experiment key table must agree with the runners' signatures.
 
 The import-path checks run in new interpreters: importing the package and
 its CLI loads no scipy module, the scipy-free threshold commands run
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 import lprecovery
-from lprecovery import bounds, conditions, quadrature
+from lprecovery import bounds, cli, conditions, experiments, quadrature
 
 MODULES = sorted(Path(lprecovery.__file__).parent.glob("*.py"))
 
@@ -82,6 +83,17 @@ def test_fixed_numerics_have_no_knobs():
     assert list(inspect.signature(quadrature.integrate).parameters) == ["f", "a", "b", "points"]
     assert not hasattr(lprecovery, "QuadratureConfig")
     assert not hasattr(quadrature, "QuadratureConfig")
+
+
+@pytest.mark.parametrize("kind", list(cli._EXPERIMENTS))
+def test_experiment_keys_match_the_runner_signature(kind):
+    # phase's runner hands its keys to PhaseDiagramSpec; a spec must give every parameter
+    # without a default and may give only some with one, so band and bracket_eps_factor stay unexposed
+    run, required, optional = cli._EXPERIMENTS[kind]
+    params = inspect.signature(experiments.PhaseDiagramSpec if kind == "phase" else run).parameters.values()
+    assert set(required) == {p.name for p in params if p.default is inspect.Parameter.empty}
+    assert set(optional) <= {p.name for p in params if p.default is not inspect.Parameter.empty}
+    assert set(required + optional) <= set(cli._KEYS)
 
 
 def _fresh(code: str) -> str:

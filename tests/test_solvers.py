@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -254,18 +253,3 @@ def test_l1_certifies_and_recovers_with_redundant_rows(defect):
         result = sv.solve_l1(sv.RecoveryInstance(A=A, y=A @ x, p=1.0, x_true=x))
         assert result.recovered
         assert result.objective == pytest.approx(np.abs(x).sum(), rel=1e-12)
-
-
-def test_job_file_roundtrip(tmp_path):
-    inst = seeded_sparse_instance(31, m=6, n=12, sparsity=2, p=0.5)
-    la.write_matrix_csv(tmp_path / "A.csv", inst.A)
-    la.write_vector_csv(tmp_path / "y.csv", inst.y)
-    la.write_vector_csv(tmp_path / "x.csv", inst.x_true)
-    job = {"matrix": "A.csv", "y": "y.csv", "x_true": "x.csv", "p": 0.5}
-    (tmp_path / "job.json").write_text(json.dumps(job))
-    loaded = sv.load_instance(tmp_path / "job.json")
-    assert np.array_equal(loaded.A, inst.A)
-    assert loaded.p == 0.5
-    result = sv.solve_lp_irls(loaded)
-    payload = sv.result_to_dict(result)
-    assert set(payload) >= {"objective", "iterations", "converged", "x_hat", "recovered"}
