@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/input error, 2 numerical or infeasibility
-error.  Every run logs its fully resolved configuration to stderr; the
-primary artifact (stdout or ``--output``) is byte-identical across runs
-with the same arguments and seed.
+error.  Every command is a ``_LoggedCommand``: it logs its path and all of its
+options to stderr in one line before it runs, and its wall time after.  The
+artifact is indented, key-sorted JSON on stdout (and in ``--output``),
+byte-identical across runs with the same arguments and seed; the grid
+experiments can also write a summary CSV (``--csv-out``).
 
 Every JSON input (a solve job, a support pattern, an experiment spec) is one
 object holding its kind's required keys and any of its optional ones.  Each
@@ -20,6 +22,7 @@ import dataclasses
 import json
 import logging
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -49,30 +52,40 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _emit(payload: dict, output: str | None, fmt: str) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if output:
-            Path(output).write_text(text)
-        click.echo(text, nl=False)
-        return
-    rows = payload.get("points")
-    if rows is None:
-        rows = [{k: v for k, v in payload.items() if isinstance(v, (int, float, str, bool))}]
-    columns = sorted({key for row in rows for key in row if isinstance(row.get(key), (int, float, str, bool))})
-    target = open(output, "w", newline="") if output else sys.stdout
-    try:
-        writer = csv.writer(target)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(col, "") for col in columns])
-    finally:
-        if output:
-            target.close()
+def _emit(payload: dict, output: str | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if output:
+        Path(output).write_text(text)
+    click.echo(text, nl=False)
 
 
-def _log_config(command: str, **params) -> None:
-    log.info("%s %s", command, json.dumps(params, sort_keys=True, default=str))
+_GRID_COLUMNS = ("mode", "p", "rho", "success_rate", "trials")
+
+
+def _write_grid_csv(report: experiments.ExperimentReport, path) -> None:
+    """The grid summary: one row per point under the header ``mode,p,rho,success_rate,trials``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, _GRID_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(report.points)
+
+
+class _LoggedCommand(click.Command):
+    """A command that logs its path and every parameter before it runs, and its wall time after."""
+
+    def invoke(self, ctx: click.Context):
+        log.info("%s %s", ctx.command_path, json.dumps(ctx.params, sort_keys=True, default=str))
+        start = time.monotonic()
+        result = super().invoke(ctx)
+        log.info("%s finished in %.2fs", ctx.command_path, time.monotonic() - start)
+        return result
+
+
+class _LoggedGroup(click.Group):
+    """A group whose commands, and its subgroups' commands, are all ``_LoggedCommand``."""
+
+    command_class = _LoggedCommand
+    group_class = type
 
 
 class _BadValue(ValueError):
@@ -103,9 +116,25 @@ def _checked(raw, required, optional, option: str, prefix: str = "") -> dict:
     return values
 
 
-def _numbers(value) -> tuple:
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
+# numbers are checked, never coerced: int() would read 2.7 as 2, "20" as 20 and true as 1
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, entry) -> tuple:
+    """``value`` as given, once it is a list whose every item ``entry`` accepts."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    for item in value:
+        entry(item)
     return tuple(value)
 
 
@@ -127,15 +156,15 @@ def _budget(value) -> conditions.SearchBudget:
 
 # the conversion of each JSON key's value, the same in every file
 _KEYS = {
-    **dict.fromkeys(("k", "n", "m", "codim", "trials", "trials_per_point", "matrices", "vectors_per_point"), int),
-    **dict.fromkeys(("sphere_samples", "refine_steps"), int),
-    **dict.fromkeys(("p", "rho"), float),
-    **dict.fromkeys(("p_list", "rho_grid", "rho_list"), _numbers),
-    "seed": lambda value: RngSeed(int(value)),
+    **dict.fromkeys(("k", "n", "m", "codim", "trials", "trials_per_point", "matrices", "vectors_per_point"), _integer),
+    **dict.fromkeys(("sphere_samples", "refine_steps"), _integer),
+    **dict.fromkeys(("p", "rho"), _number),
+    **dict.fromkeys(("p_list", "rho_grid", "rho_list"), lambda value: _list(value, _number)),
+    "seed": lambda value: RngSeed(_integer(value)),
     "amplitude_model": _text,
     "budget": _budget,
-    "support": lambda value: tuple(int(i) - 1 for i in _numbers(value)),  # files use 1-based indices
-    "signs": lambda value: tuple(int(s) for s in _numbers(value)),
+    "support": lambda value: tuple(i - 1 for i in _list(value, _integer)),  # files use 1-based indices
+    "signs": lambda value: _list(value, _integer),
     "matrix": _text,
     "y": _text,
     "x_true": lambda value: None if value is None else _text(value),
@@ -143,10 +172,9 @@ _KEYS = {
 
 
 _output_option = click.option("--output", type=click.Path(dir_okay=False), help="Write the result to this file as well as stdout.")
-_format_option = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True, help="Output format.")
 
 
-@click.group()
+@click.group(cls=_LoggedGroup)
 def cli() -> None:
     """Sparse-recovery thresholds, solvers, and null-space certification."""
 
@@ -159,10 +187,8 @@ def threshold() -> None:
 @threshold.command("strong-limit")
 @click.option("--p", type=float, required=True, help="Quasinorm exponent in (0, 1]; 0 reports the limiting value 0.5.")
 @_output_option
-@_format_option
-def strong_limit(p: float, output, fmt) -> None:
+def strong_limit(p: float, output) -> None:
     """Strong recovery threshold in the nearly-square limit."""
-    _log_config("threshold strong-limit", p=p, output=output, format=fmt)
     if p == 0.0:
         # excluded from the solver's domain; the limiting value is 1/2
         payload = {"command": "strong-limit", "p": p, "value": 0.5, "note": "limit value as p -> 0"}
@@ -176,27 +202,23 @@ def strong_limit(p: float, output, fmt) -> None:
             "derivative": result.derivative,
             "residual": result.residual,
         }
-    _emit(payload, output, fmt)
+    _emit(payload, output)
 
 
 @threshold.command("weak-limit")
 @click.option("--p", type=float, required=True, help="Quasinorm exponent in [0, 1].")
 @_output_option
-@_format_option
-def weak_limit(p: float, output, fmt) -> None:
+def weak_limit(p: float, output) -> None:
     """Weak (fixed support and signs) recovery threshold in the limit."""
-    _log_config("threshold weak-limit", p=p, output=output, format=fmt)
-    _emit({"command": "weak-limit", "p": p, "value": limits.weak_limit_threshold(p)}, output, fmt)
+    _emit({"command": "weak-limit", "p": p, "value": limits.weak_limit_threshold(p)}, output)
 
 
 @threshold.command("sectional-limit")
 @click.option("--p", type=float, required=True, help="Quasinorm exponent in [0, 1].")
 @_output_option
-@_format_option
-def sectional_limit(p: float, output, fmt) -> None:
+def sectional_limit(p: float, output) -> None:
     """Sectional (fixed support, any signs) recovery threshold in the limit."""
-    _log_config("threshold sectional-limit", p=p, output=output, format=fmt)
-    _emit({"command": "sectional-limit", "p": p, "value": limits.sectional_limit_threshold(p)}, output, fmt)
+    _emit({"command": "sectional-limit", "p": p, "value": limits.sectional_limit_threshold(p)}, output)
 
 
 @threshold.command("strong-bound")
@@ -205,18 +227,13 @@ def sectional_limit(p: float, output, fmt) -> None:
 @click.option("--gamma-points", type=int, default=60, show_default=True, help="Size of the net-radius grid.")
 @click.option("--epsilon-points", type=int, default=20, show_default=True, help="Size of the feasibility-slack grid.")
 @_output_option
-@_format_option
-def strong_bound_cmd(alpha, p, gamma_points, epsilon_points, output, fmt) -> None:
+def strong_bound_cmd(alpha, p, gamma_points, epsilon_points, output) -> None:
     """Certified strong-recovery sparsity bound at a fixed undersampling ratio."""
-    _log_config(
-        "threshold strong-bound",
-        alpha=alpha, p=p, gamma_points=gamma_points, epsilon_points=epsilon_points, output=output, format=fmt,
-    )
     cfg = bounds.ExponentSearchConfig.default(alpha, gamma_points=gamma_points, epsilon_points=epsilon_points)
     result = bounds.strong_bound(alpha, p, cfg)
     payload = {"command": "strong-bound", "value": result.rho_bound}
     payload.update(result.to_record(cfg))
-    _emit(payload, output, fmt)
+    _emit(payload, output)
 
 
 @threshold.command("weak-bound")
@@ -226,20 +243,14 @@ def strong_bound_cmd(alpha, p, gamma_points, epsilon_points, output, fmt) -> Non
 @click.option("--epsilon-points", type=int, default=20, show_default=True, help="Size of the feasibility-slack grid.")
 @click.option("--a-tol", type=float, default=1e-6, show_default=True, help="Bisection tolerance on rho.")
 @_output_option
-@_format_option
-def weak_bound_cmd(alpha, p, gamma_points, epsilon_points, a_tol, output, fmt) -> None:
+def weak_bound_cmd(alpha, p, gamma_points, epsilon_points, a_tol, output) -> None:
     """Certified weak-recovery sparsity bound at a fixed undersampling ratio."""
-    _log_config(
-        "threshold weak-bound",
-        alpha=alpha, p=p, gamma_points=gamma_points, epsilon_points=epsilon_points, a_tol=a_tol,
-        output=output, format=fmt,
-    )
     base = bounds.ExponentSearchConfig.default(alpha, gamma_points=gamma_points, epsilon_points=epsilon_points)
     cfg = dataclasses.replace(base, a_tol=a_tol)
     result = bounds.weak_bound(alpha, p, cfg)
     payload = {"command": "weak-bound", "value": result.rho_bound}
     payload.update(result.to_record(cfg))
-    _emit(payload, output, fmt)
+    _emit(payload, output)
 
 
 @cli.command("solve")
@@ -249,10 +260,10 @@ def weak_bound_cmd(alpha, p, gamma_points, epsilon_points, a_tol, output, fmt) -
 @click.option("--max-support", type=int, default=None, help="Support budget for the exhaustive method.")
 @click.option("--x-out", type=click.Path(dir_okay=False), help="Write the solution vector to this CSV.")
 @_output_option
-@_format_option
-def solve_cmd(instance, method, max_support, x_out, output, fmt) -> None:
+def solve_cmd(instance, method, max_support, x_out, output) -> None:
     """Solve one recovery instance."""
-    _log_config("solve", instance=instance, method=method, max_support=max_support, output=output, format=fmt)
+    if max_support is not None and method != "l0":
+        raise click.UsageError(f"{method} method ignores --max-support; only l0 reads it")
     job = _checked(json.loads(Path(instance).read_text()), ("matrix", "y"), ("p", "x_true"), "instance")
     base = Path(instance).parent  # CSV paths are relative to the job file
     x_true = job.get("x_true")  # absent, null or "": no ground truth
@@ -273,7 +284,7 @@ def solve_cmd(instance, method, max_support, x_out, output, fmt) -> None:
     if x_out:
         write_vector_csv(x_out, result.x_hat)
         payload["x_out"] = x_out
-    _emit(payload, output, fmt)
+    _emit(payload, output)
 
 
 @cli.command("certify")
@@ -291,15 +302,8 @@ def solve_cmd(instance, method, max_support, x_out, output, fmt) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--witness-out", type=click.Path(dir_okay=False), help="Write a falsifying direction to this CSV.")
 @_output_option
-@_format_option
-def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, refine_steps, seed, witness_out, output, fmt) -> None:
+def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, refine_steps, seed, witness_out, output) -> None:
     """Certify or falsify a null-space recovery condition on a concrete matrix."""
-    _log_config(
-        "certify",
-        matrix=matrix, measurement=measurement, mode=mode, p=p, rho=rho, pattern=pattern,
-        support=support, samples=samples, refine_steps=refine_steps, seed=seed,
-        output=output, format=fmt,
-    )
     # strong mode reads --rho, sectional mode --support, weak modes --pattern or else --rho
     used = {"strong": "--rho", "sectional": "--support"}.get(mode, "--rho" if pattern is None else "--pattern")
     for option, value in {"--rho": rho, "--pattern": pattern, "--support": support}.items():
@@ -340,7 +344,7 @@ def certify_cmd(matrix, measurement, mode, p, rho, pattern, support, samples, re
     if witness_out and verdict.witness is not None:
         write_vector_csv(witness_out, verdict.witness["z"])
         payload["witness_csv"] = witness_out
-    _emit(payload, output, fmt)
+    _emit(payload, output)
 
 
 # each experiment kind: (runner, required spec keys, optional spec keys)
@@ -359,27 +363,27 @@ _EXPERIMENTS = {
 @click.argument("kind", type=click.Choice(list(_EXPERIMENTS)))
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help="JSON file with the experiment parameters.")
-@click.option("--csv-out", type=click.Path(dir_okay=False), help="Write the grid summary CSV here.")
+@click.option("--csv-out", type=click.Path(dir_okay=False), help="Write the grid summary CSV here (every kind but example1).")
 @_output_option
-@_format_option
-def experiment_cmd(kind, spec_path, csv_out, output, fmt) -> None:
+def experiment_cmd(kind, spec_path, csv_out, output) -> None:
     """Run a seeded experiment described by a JSON spec file."""
+    if csv_out and kind == "example1":
+        raise click.UsageError("example1 reports claims, not a grid, so it takes no --csv-out")
     raw = json.loads(Path(spec_path).read_text())
-    _log_config("experiment", kind=kind, spec=raw, output=output, format=fmt)
+    log.info("experiment spec %s", json.dumps(raw, sort_keys=True))
     run, required, optional = _EXPERIMENTS[kind]
     result = run(**_checked(raw, required, optional, "spec"))
     if isinstance(result, experiments.ExperimentReport):
-        log.info("experiment finished in %.2fs", result.wall_time)
         if csv_out:
-            experiments.report_to_csv(result, csv_out)
+            _write_grid_csv(result, csv_out)
         result = result.to_dict()
-    _emit(result, output, fmt)
+    _emit(result, output)
 
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(name)s: %(message)s")
     try:
-        cli.main(args=argv, standalone_mode=False)
+        cli.main(args=argv, prog_name="lprecovery", standalone_mode=False)
     except click.exceptions.Abort:
         return 1
     except click.ClickException as exc:

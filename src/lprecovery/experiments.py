@@ -8,8 +8,6 @@ per-trial records that produced every aggregate number.
 
 from __future__ import annotations
 
-import csv
-import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -34,7 +32,6 @@ __all__ = [
     "run_strong_vs_weak",
     "run_weak_threshold_probe",
     "run_concentration_check",
-    "report_to_csv",
 ]
 
 AMPLITUDE_MODELS = ("standard_normal", "spike_mixture")
@@ -78,27 +75,9 @@ class ExperimentReport:
     kind: str
     spec: dict
     points: list
-    wall_time: float = 0.0
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "spec": self.spec, "points": self.points}
-
-
-def report_to_csv(report: ExperimentReport, path) -> None:
-    """Grid summary CSV: one row per point (mode,p,rho,success_rate,trials)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "p", "rho", "success_rate", "trials"])
-        for point in report.points:
-            writer.writerow(
-                [
-                    point.get("mode", report.kind),
-                    point.get("p", ""),
-                    point.get("rho", ""),
-                    point.get("success_rate", ""),
-                    point.get("trials", ""),
-                ]
-            )
 
 
 def _check_counts_and_rhos(rhos, **counts) -> None:
@@ -275,7 +254,6 @@ def _phase_trial(spec: PhaseDiagramSpec, p: float, rho: float, pi: int, ri: int,
 
 def run_phase_transition(spec: PhaseDiagramSpec) -> ExperimentReport:
     """Recovery success rate over a (p, rho) grid; deterministic per seed."""
-    start = time.monotonic()
     points = []
     for pi, p in enumerate(spec.p_list):
         for ri, rho in enumerate(spec.rho_grid):
@@ -292,12 +270,7 @@ def run_phase_transition(spec: PhaseDiagramSpec) -> ExperimentReport:
                     "records": records,
                 }
             )
-    return ExperimentReport(
-        kind="phase",
-        spec=spec.to_dict(),
-        points=points,
-        wall_time=time.monotonic() - start,
-    )
+    return ExperimentReport(kind="phase", spec=spec.to_dict(), points=points)
 
 
 def _strong_vs_weak_point(n, m, p, rho, mode, mi, pi, ri, vectors, seed):
@@ -345,7 +318,6 @@ def run_strong_vs_weak(
     if not m < n:
         raise ValueError("need m < n")
     _check_counts_and_rhos(rho_grid, matrices=matrices, vectors_per_point=vectors_per_point)
-    start = time.monotonic()
     points = []
     for mode in ("weak", "strong"):
         for pi, p in enumerate(p_list):
@@ -378,7 +350,6 @@ def run_strong_vs_weak(
             "seed": seed.seed,
         },
         points=points,
-        wall_time=time.monotonic() - start,
     )
 
 
@@ -410,7 +381,6 @@ def run_weak_threshold_probe(
     if codim > 12:
         raise ValueError("probe is meaningful only for small codimension (<= 12)")
     _check_counts_and_rhos(rho_list, trials=trials)
-    start = time.monotonic()
     points = []
     for ri, rho in enumerate(rho_list):
         records = [_probe_trial(n, codim, p, rho, ri, trial, budget, seed) for trial in range(trials)]
@@ -442,7 +412,6 @@ def run_weak_threshold_probe(
             },
         },
         points=points,
-        wall_time=time.monotonic() - start,
     )
 
 
@@ -488,7 +457,6 @@ def run_concentration_check(
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     _check_counts_and_rhos((rho,), trials=trials)
-    start = time.monotonic()
     mu = abs_moment(p)
     records = [_concentration_trial(n, p, rho, trial, seed, mu) for trial in range(trials)]
     ratios = np.array([r["ratio"] for r in records])
@@ -517,5 +485,4 @@ def run_concentration_check(
         spec={"n": n, "p": p, "rho": rho, "trials": trials, "seed": seed.seed, "band": band,
               "bracket_eps_factor": bracket_eps_factor},
         points=[point],
-        wall_time=time.monotonic() - start,
     )

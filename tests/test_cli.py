@@ -1,9 +1,12 @@
 import hashlib
 import json
+import logging
 
+import click
 import numpy as np
 import pytest
 
+from lprecovery import cli
 from lprecovery import linalg as la
 from lprecovery.cli import main
 
@@ -146,22 +149,35 @@ def test_experiment_example1_and_csv(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "experiment", "example1", "--spec", str(spec))
     assert code == 0
     assert json.loads(out)["all_match"] is True
+    # example1 has no grid to summarise, so --csv-out is refused rather than dropped
+    csv_out = tmp_path / "grid.csv"
+    code, out, err = run_cli(capsys, "experiment", "example1", "--spec", str(spec), "--csv-out", str(csv_out))
+    assert code == 1
+    assert out == ""
+    assert "--csv-out" in err
+    assert not csv_out.exists()
 
     phase_spec = tmp_path / "phase.json"
     phase_spec.write_text(
         json.dumps(
-            {"n": 20, "m": 10, "p_list": [0.5], "rho_grid": [0.05], "trials_per_point": 3, "seed": 1}
+            {"n": 20, "m": 10, "p_list": [0.5], "rho_grid": [0.05, 0.3], "trials_per_point": 3, "seed": 1}
         )
     )
-    csv_out = tmp_path / "grid.csv"
     out_json = tmp_path / "report.json"
     code, out, _ = run_cli(
         capsys, "experiment", "phase", "--spec", str(phase_spec),
         "--csv-out", str(csv_out), "--output", str(out_json),
     )
     assert code == 0
-    assert csv_out.read_text().splitlines()[0] == "mode,p,rho,success_rate,trials"
-    assert json.loads(out_json.read_text())["kind"] == "phase"
+    report = json.loads(out_json.read_text())
+    assert set(report) == {"kind", "spec", "points"}
+    assert report["kind"] == "phase"
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "mode,p,rho,success_rate,trials"
+    assert lines[1:] == [
+        f"phase,{pt['p']},{pt['rho']},{pt['success_rate']},{pt['trials']}" for pt in report["points"]
+    ]
+    assert len(lines) == 3
 
 
 def test_byte_identical_artifacts(tmp_path, capsys):
@@ -205,14 +221,46 @@ def test_threshold_artifacts_are_pinned(capsys, argv, digest):
 
 
 def test_experiment_has_no_workers_option(tmp_path, capsys):
+    # trials run serially, and JSON is the only artifact format
     spec = tmp_path / "phase.json"
     spec.write_text(
         json.dumps({"n": 20, "m": 10, "p_list": [0.5], "rho_grid": [0.05], "trials_per_point": 2, "seed": 1})
     )
-    code, out, err = run_cli(capsys, "experiment", "phase", "--spec", str(spec), "--workers", "2")
-    assert code == 1
-    assert out == ""
-    assert "No such option" in err and "--workers" in err
+    for option, value in (("--workers", "2"), ("--format", "json")):
+        code, out, err = run_cli(capsys, "experiment", "phase", "--spec", str(spec), option, value)
+        assert code == 1
+        assert out == ""
+        assert "No such option" in err and option in err
+
+
+def _leaf_commands(group):
+    for command in group.commands.values():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command)
+        else:
+            yield command
+
+
+def test_every_command_logs_all_its_options_and_its_time(tmp_path, capsys, caplog):
+    leaves = list(_leaf_commands(cli.cli))
+    assert len(leaves) == 8
+    assert all(isinstance(command, cli._LoggedCommand) for command in leaves)
+    path = tmp_path / "B.csv"
+    la.write_matrix_csv(path, la.sample_gaussian_matrix(12, 3, la.RngSeed(4)))
+    witness = tmp_path / "w.csv"
+    caplog.set_level(logging.INFO, logger="lprecovery")
+    code, _, _ = run_cli(
+        capsys, "certify", "--matrix", str(path), "--mode", "weak_lp", "--p", "0.5", "--rho", "0.9",
+        "--witness-out", str(witness),
+    )
+    assert code == 0
+    messages = [record.getMessage() for record in caplog.records]
+    options = [m for m in messages if m.startswith("lprecovery certify {")]
+    assert len(options) == 1
+    logged = json.loads(options[0].removeprefix("lprecovery certify "))
+    assert set(logged) == {param.name for param in cli.cli.commands["certify"].params}
+    assert logged["witness_out"] == str(witness) and logged["rho"] == 0.9
+    assert any(m.startswith("lprecovery certify finished in ") for m in messages)
 
 
 @pytest.mark.parametrize(
@@ -362,6 +410,20 @@ def test_certify_p_outside_the_unit_interval_exits_one(tmp_path, capsys, mode):
     assert "invalid parameter" in err and "p must lie in [0, 1]" in err
 
 
+@pytest.mark.parametrize("method", ["l1", "lp"])
+def test_solve_rejects_max_support_without_l0(tmp_path, capsys, method):
+    A = la.sample_gaussian_matrix(4, 8, 21)
+    la.write_matrix_csv(tmp_path / "A.csv", A)
+    la.write_vector_csv(tmp_path / "y.csv", A[:, 2])
+    (tmp_path / "job.json").write_text(json.dumps({"matrix": "A.csv", "y": "y.csv", "p": 0.5}))
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", str(tmp_path / "job.json"), "--method", method, "--max-support", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert f"{method} method ignores --max-support" in err
+
+
 def test_solve_l0_with_no_support_budget_exits_one(tmp_path, capsys):
     A = la.sample_gaussian_matrix(4, 8, 21)
     la.write_matrix_csv(tmp_path / "A.csv", A)
@@ -457,6 +519,12 @@ def _bad_json_inputs():
     yield pytest.param("instance", {**_JOB, "p": None}, "invalid parameter: instance key 'p'", id="instance-p-null")
     yield pytest.param("instance", {**_JOB, "y": "absent.csv"}, "absent.csv", id="instance-missing-csv")
     yield pytest.param("pattern", {"support": [1, 2]}, "missing key 'signs'", id="pattern-no-signs")
+    # JSON numbers are checked, not truncated or coerced
+    yield pytest.param("pattern", {"support": [2.7, 5], "signs": [1, -1]}, "invalid parameter: pattern key 'support'",
+                       id="pattern-fractional-index")
+    phase = _JSON_INPUTS["phase"][1]
+    for n, name in ((20.9, "float"), ("20", "string"), (True, "bool")):
+        yield pytest.param("phase", {**phase, "n": n}, "invalid parameter: spec key 'n'", id=f"phase-{name}-count")
     yield pytest.param("weak-probe", {**_PROBE_SPEC, "budget": {"refine_steps": "x"}},
                        "invalid parameter: spec key 'budget.refine_steps'", id="probe-budget-wrong-type")
 

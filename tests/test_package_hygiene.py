@@ -3,7 +3,9 @@
 Every ``__all__`` entry must name something the module defines, and no
 module but ``__init__.py`` may import a name it never uses, so a deleted
 class or constant cannot linger as a stale export or import.
-The CLI's experiment key table must agree with the runners' signatures.
+The CLI's experiment key table must agree with the runners' signatures, and
+file formats and process concerns (argument parsing, JSON, logging, timing)
+stay in ``cli``; ``linalg`` alone shares CSV, for matrix files.
 
 The import-path checks run in new interpreters: importing the package and
 its CLI loads no scipy module, the scipy-free threshold commands run
@@ -53,6 +55,17 @@ def _imported_names(tree: ast.Module) -> dict:
     return names
 
 
+def _imported_modules(tree: ast.Module) -> set:
+    """Top-level name of every absolute import anywhere in the module."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_export_resolves(path):
     module = importlib.import_module(_module_name(path))
@@ -67,6 +80,16 @@ def test_no_unused_imports(path):
     used.update(_exports(tree))
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+# the only package modules that may import each of these
+_HOMES = {"click": {"cli"}, "json": {"cli"}, "logging": {"cli"}, "time": {"cli"}, "csv": {"cli", "linalg"}}
+
+
+@pytest.mark.parametrize("module", list(_HOMES))
+def test_formats_and_process_concerns_live_in_the_cli(module):
+    importers = {p.stem for p in MODULES if module in _imported_modules(ast.parse(p.read_text()))}
+    assert importers <= _HOMES[module], f"{sorted(importers - _HOMES[module])} import {module}"
 
 
 def test_the_checks_see_every_module():
