@@ -20,13 +20,21 @@ Modes and their inequalities at a given z (B_i the rows of the basis):
 T- collects support indices whose kernel direction fights the sign
 pattern; ties (B_i z = 0) follow the sign-agreeing side uniformly across
 all modes.
+
+``certify`` evaluates every direction through the mode's public evaluator,
+so a falsified verdict's (lhs, rhs) are that evaluator's own floats.  Per
+run it prepares one evaluator, which computes what depends on (B, mode,
+spec) alone once: the support and complement indices, the signs and
+2||B||_F.  A public evaluator handed certify's basis reuses it; any other
+call prepares the same evaluator for itself, so both give the same floats.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -46,6 +54,9 @@ __all__ = [
 
 MODES = ("strong", "weak_l1", "weak_lp", "weak_l0", "sectional")
 _ZERO_REL_TOL = 1e-12
+# the run certify has in progress, as (basis, p, spec, evaluate): the basis is a
+# view certify made for the run, so only certify's own calls pass it
+_prepared = None
 # the pattern search multiplies its step by this after a round with no improving move
 _STEP_SHRINK = 0.5
 
@@ -66,19 +77,16 @@ class SupportPattern:
             raise ValueError("support indices must be nonnegative")
         if len(self.signs) != len(self.support) or any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +-1, one per support index")
+        # shared by every evaluation of the pattern, so read-only
+        arrays = {"support_array": np.array(self.support, dtype=int), "sign_array": np.array(self.signs, dtype=float)}
+        for name, value in arrays.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def nonnegative(cls, size: int) -> "SupportPattern":
         """The all-plus pattern on the first ``size`` indices."""
         return cls(support=tuple(range(size)), signs=(1,) * size)
-
-    @cached_property
-    def support_array(self) -> np.ndarray:
-        return np.array(self.support, dtype=int)
-
-    @cached_property
-    def sign_array(self) -> np.ndarray:
-        return np.array(self.signs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -122,32 +130,33 @@ def partition_support(B: np.ndarray, z: np.ndarray, pat: SupportPattern):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     z = np.asarray(z, dtype=float)
     rows = pat.support_array
-    fighting = _fighting(B, z, (B @ z)[rows], pat)
+    fro2 = 2.0 * np.linalg.norm(B)
+    fighting = _fighting((B @ z)[rows], pat.sign_array, math.sqrt(z @ z), fro2, lambda: np.linalg.norm(B[rows], axis=1))
     return tuple(int(i) for i in rows[fighting]), tuple(int(i) for i in rows[~fighting])
 
 
-def _fighting(B: np.ndarray, z: np.ndarray, vals: np.ndarray, pat: SupportPattern) -> np.ndarray:
-    """Mask over ``pat.support``: True where the row fights the sign pattern.
+def _fighting(vals: np.ndarray, signs: np.ndarray, norm_z: float, fro2: float, row_norms) -> np.ndarray:
+    """Mask over the support: True where the row fights the sign pattern.
 
     ``vals`` is B_T z, in support order.  A row fights when (B_i z) * sign_i < 0
-    and |B_i z| exceeds 1e-12 |z| |B_i|; the row norms are needed only for the
-    rare rows under the coarser bound 1e-12 |z| * 2|B|_F.
+    and |B_i z| exceeds 1e-12 |z| |B_i|; ``row_norms()`` (the support rows'
+    norms) is asked for only for the rare rows under the coarser bound
+    1e-12 |z| * ``fro2``, with ``fro2`` = 2|B|_F.
     """
-    rows = pat.support_array
-    fighting = vals * pat.sign_array < 0
-    norm_z = np.linalg.norm(z)
-    near_zero = fighting & (np.abs(vals) <= _ZERO_REL_TOL * norm_z * 2.0 * np.linalg.norm(B))
+    fighting = vals * signs < 0
+    near_zero = fighting & (np.abs(vals) <= _ZERO_REL_TOL * norm_z * fro2)
     if near_zero.any():
         idx = np.flatnonzero(near_zero)
-        scale = _ZERO_REL_TOL * norm_z * np.linalg.norm(B[rows[idx]], axis=1)
+        scale = _ZERO_REL_TOL * norm_z * row_norms()[idx]
         fighting[idx[np.abs(vals[idx]) <= scale]] = False
     return fighting
 
 
 def _complement(n: int, rows: np.ndarray) -> np.ndarray:
+    """The indices in range(n) outside ``rows``, in increasing order."""
     mask = np.ones(n, dtype=bool)
     mask[rows] = False
-    return mask
+    return np.flatnonzero(mask)
 
 
 def strong_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, rho_n: int):
@@ -156,13 +165,7 @@ def strong_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, rho_n: in
     The adversarial support is the set of the rho_n largest |B_i z|^p, so
     lhs is that top sum and rhs the rest; the caller compares lhs < rhs.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if not 0 <= rho_n <= B.shape[0]:
-        raise ValueError("support size out of range")
-    vals = _entry_powers(B @ np.asarray(z, dtype=float), p)
-    vals.sort()
-    lhs = float(vals[len(vals) - rho_n :].sum()) if rho_n else 0.0
-    return lhs, float(vals.sum() - lhs)
+    return _prepare(B, "strong", p, rho_n)(np.asarray(z, dtype=float))[2:]
 
 
 def _entry_powers(bz: np.ndarray, p: float) -> np.ndarray:
@@ -178,53 +181,86 @@ def weak_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, pat: Suppor
     """Evaluate the weak condition for this z -> (holds_at_z, lhs, rhs)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    z = np.asarray(z, dtype=float)
-    bz = B @ z
-    rows = pat.support_array
-    bz_support = bz[rows]
-    fighting = _fighting(B, z, bz_support, pat)
-    bz_minus, bz_plus = bz_support[fighting], bz_support[~fighting]
-    bz_comp = bz[_complement(bz.size, rows)]
-    if p == 1.0:
-        lhs = float(np.abs(bz_minus).sum())
-        rhs = float(np.abs(bz_comp).sum() + np.abs(bz_plus).sum())
-        return lhs < rhs, lhs, rhs
-    lhs = float(_entry_powers(bz_minus, p).sum())
-    rhs = float(_entry_powers(bz_comp, p).sum())
-    if p == 0.0 or lhs != rhs:
-        return lhs < rhs, lhs, rhs
-    # a tie holds only where B_{T+}z does not vanish
-    plus_scale = np.linalg.norm(z) * max(1.0, float(np.abs(B).max()))
-    plus_vanishes = bool(np.all(np.abs(bz_plus) <= _ZERO_REL_TOL * plus_scale))
-    return not plus_vanishes, lhs, rhs
+    violated, _, lhs, rhs = _prepare(B, "weak_lp", p, pat)(np.asarray(z, dtype=float))
+    return not violated, lhs, rhs
 
 
 def sectional_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, support):
     """(lhs, rhs) of the sectional condition on a fixed support."""
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    z = np.asarray(z, dtype=float)
-    rows = np.unique(np.array([int(i) for i in support], dtype=int))
-    if rows.size and (rows[0] < 0 or rows[-1] >= B.shape[0]):
-        raise ValueError("support index out of range")
-    bz = B @ z
-    lhs = float(_entry_powers(bz[rows], p).sum())
-    rhs = float(_entry_powers(bz[_complement(bz.size, rows)], p).sum())
-    return lhs, rhs
+    return _prepare(B, "sectional", p, support)(np.asarray(z, dtype=float))[2:]
 
 
-def _violation(B: np.ndarray, mode: str, p: float, spec, z: np.ndarray):
-    """(violated, margin, lhs, rhs) at z; margin = rhs - lhs."""
+def _prepare(B, mode: str, p: float, spec):
+    """The evaluator of a public call: certify's prepared one when the call
+    comes from certify's run, else one built for this call."""
+    prepared = _prepared
+    if prepared is not None and B is prepared[0] and spec is prepared[2] and p == prepared[1]:
+        return prepared[3]
+    return _evaluator(np.atleast_2d(np.asarray(B, dtype=float)), mode, p, spec)
+
+
+def _evaluator(B: np.ndarray, mode: str, p: float, spec):
+    """Prepared evaluator of one condition on one basis: z -> (violated, margin, lhs, rhs).
+
+    margin = rhs - lhs.  ``B`` is a 2-D float array and z a 1-D float array.
+    What depends on (B, spec) alone is computed here, once; the weak modes'
+    tie-only constants (the support row norms and max(1, max|B_ij|)) only when
+    a tie first needs them.
+    """
     if mode == "strong":
-        lhs, rhs = strong_condition_holds_for(B, z, p, spec)
-        return lhs >= rhs, rhs - lhs, lhs, rhs
+        if not 0 <= spec <= B.shape[0]:
+            raise ValueError("support size out of range")
+
+        def evaluate(z):
+            vals = _entry_powers(B @ z, p)
+            vals.sort()
+            lhs = float(vals[len(vals) - spec :].sum()) if spec else 0.0
+            rhs = float(vals.sum() - lhs)
+            return lhs >= rhs, rhs - lhs, lhs, rhs
+
+        return evaluate
     if mode == "sectional":
-        lhs, rhs = sectional_condition_holds_for(B, z, p, spec)
-        return lhs >= rhs, rhs - lhs, lhs, rhs
-    if mode in ("weak_l1", "weak_lp", "weak_l0"):
-        holds, lhs, rhs = weak_condition_holds_for(B, z, p, spec)
+        rows = np.unique(np.array([int(i) for i in spec], dtype=int))
+        if rows.size and (rows[0] < 0 or rows[-1] >= B.shape[0]):
+            raise ValueError("support index out of range")
+        comp = _complement(B.shape[0], rows)
+
+        def evaluate(z):
+            bz = B @ z
+            lhs = float(_entry_powers(bz[rows], p).sum())
+            rhs = float(_entry_powers(bz[comp], p).sum())
+            return lhs >= rhs, rhs - lhs, lhs, rhs
+
+        return evaluate
+    if mode not in ("weak_l1", "weak_lp", "weak_l0"):
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    rows, signs = spec.support_array, spec.sign_array
+    comp = _complement(B.shape[0], rows)
+    fro2 = 2.0 * np.linalg.norm(B)
+    row_norms = cache(lambda: np.linalg.norm(B[rows], axis=1))
+    b_max = cache(lambda: max(1.0, float(np.abs(B).max())))
+
+    def evaluate(z):
+        bz = B @ z
+        vals = bz[rows]
+        norm_z = math.sqrt(z @ z)
+        fighting = _fighting(vals, signs, norm_z, fro2, row_norms)
+        minus = vals[fighting]
+        if p == 1.0:
+            lhs = float(np.abs(minus).sum())
+            rhs = float(np.abs(bz[comp]).sum() + np.abs(vals[~fighting]).sum())
+            holds = lhs < rhs
+        else:
+            lhs = float(_entry_powers(minus, p).sum())
+            rhs = float(_entry_powers(bz[comp], p).sum())
+            if p == 0.0 or lhs != rhs:
+                holds = lhs < rhs
+            else:
+                # a tie holds only where B_{T+}z does not vanish
+                holds = not bool(np.all(np.abs(vals[~fighting]) <= _ZERO_REL_TOL * (norm_z * b_max())))
         return not holds, rhs - lhs, lhs, rhs
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+    return evaluate
 
 
 def _mode_p(mode: str, p: float) -> float:
@@ -245,6 +281,7 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
     by a derivative-free pattern search with shrinking steps on the best
     candidates; any violation is returned as a witness.
     """
+    global _prepared
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -264,12 +301,46 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
         raise ValueError(f"support index {spec.support[-1]} lies outside the basis's {B.shape[0]} rows")
 
     dim = B.shape[1]
-    if dim == 1:
-        return _certify_exact_1d(B, mode, p, spec)
-    if mode == "weak_l1":
+    if mode == "weak_l1" and dim > 1:
         verdict = _certify_weak_l1_lp(B, spec)
         if verdict is not None:
             return verdict
+    B = B.view()
+    B.flags.writeable = False
+    _prepared = (B, p, spec, _evaluator(B, mode, p, spec))
+    try:
+        evaluate = _public_evaluator(B, mode, p, spec)
+        if dim == 1:
+            return _certify_exact_1d(mode, evaluate)
+        return _search(mode, dim, evaluate, budget)
+    finally:
+        _prepared = None
+
+
+def _public_evaluator(B: np.ndarray, mode: str, p: float, spec):
+    """z -> (violated, margin, lhs, rhs) from one call of the mode's public evaluator."""
+    if mode == "strong":
+
+        def evaluate(z):
+            lhs, rhs = strong_condition_holds_for(B, z, p, spec)
+            return lhs >= rhs, rhs - lhs, lhs, rhs
+
+    elif mode == "sectional":
+
+        def evaluate(z):
+            lhs, rhs = sectional_condition_holds_for(B, z, p, spec)
+            return lhs >= rhs, rhs - lhs, lhs, rhs
+
+    else:
+
+        def evaluate(z):
+            holds, lhs, rhs = weak_condition_holds_for(B, z, p, spec)
+            return not holds, rhs - lhs, lhs, rhs
+
+    return evaluate
+
+
+def _search(mode: str, dim: int, evaluate, budget: SearchBudget) -> ConditionVerdict:
     if dim == 2:
         candidates = _angle_candidates(max(budget.sphere_samples, 4096))
     else:
@@ -279,7 +350,7 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
 
     margins = []
     for z in candidates:
-        violated, margin, lhs, rhs = _violation(B, mode, p, spec, z)
+        violated, margin, lhs, rhs = evaluate(z)
         if violated:
             return _falsified(mode, z, lhs, rhs)
         margins.append(margin)
@@ -287,11 +358,10 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
     rng = budget.seed.child(1).generator()
     best_margin = float(margins[order[0]])
     for idx in order[: max(1, min(8, len(order)))]:
-        z = candidates[idx].copy()
-        found, witness = _refine(B, mode, p, spec, z, budget, rng)
-        if found:
-            return _falsified(mode, *witness)
-        best_margin = min(best_margin, witness[3])
+        z, (violated, margin, lhs, rhs) = _refine(evaluate, candidates[idx].copy(), budget, rng)
+        if violated:
+            return _falsified(mode, z, lhs, rhs)
+        best_margin = min(best_margin, margin)
     return ConditionVerdict(
         mode=mode,
         holds=True,
@@ -307,10 +377,10 @@ def _angle_candidates(count: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _certify_exact_1d(B: np.ndarray, mode: str, p: float, spec) -> ConditionVerdict:
+def _certify_exact_1d(mode: str, evaluate) -> ConditionVerdict:
     for direction in (1.0, -1.0):
         z = np.array([direction])
-        violated, margin, lhs, rhs = _violation(B, mode, p, spec, z)
+        violated, _, lhs, rhs = evaluate(z)
         if violated:
             return dataclasses.replace(_falsified(mode, z, lhs, rhs), certificate_exact=True)
     return ConditionVerdict(mode=mode, holds=True, certificate_exact=True, witness=None)
@@ -341,7 +411,7 @@ def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict 
     dual is min ||B_Tc y||_1 subject to c^T y = 1, of value 1/tau.  If tau < 1,
     lam is the certificate: with r = B_Tc^T lam - c and sigma_min the smallest
     singular value of B_Tc, f(z) >= ((1 - tau) sigma_min - |r|) |z|, which must
-    come out positive.  If tau >= 1, the equality marginals y (up to sign)
+    come out positive.  If tau >= 1, the equality marginals y (up to sign and scale)
     give f(y) = 1/tau - 1 <= 0.  At c = 0 (an empty support, or B_T^T s = 0)
     the program is unbounded while tau = 0, so lam = 0 is the certificate and
     no LP is solved.  HiGHS presolve is off: with dim rows it has little to
@@ -359,8 +429,7 @@ def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict 
     _, sigma, vt = np.linalg.svd(padded, full_matrices=False)
     sigma_min = float(sigma[-1])
     if sigma_min <= max(padded.shape) * np.finfo(float).eps * sigma[0]:
-        null = vt[-1]
-        return _lp_witness(B, pat, (null, -null), {})
+        return _lp_witness(B, pat, vt[-1], {})
     if target.any():
         res = linprog(
             np.r_[np.zeros(m), -1.0],
@@ -389,12 +458,17 @@ def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict 
         }
         return ConditionVerdict(mode="weak_l1", holds=True, certificate_exact=True, detail=detail)
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    return _lp_witness(B, pat, (y, -y), {"tau": tau})
+    return _lp_witness(B, pat, y, {"tau": tau})
 
 
-def _lp_witness(B, pat, directions, detail) -> ConditionVerdict | None:
-    """Exact falsified verdict at the first direction the public evaluator rejects."""
-    for z in directions:
+def _lp_witness(B, pat, y, detail) -> ConditionVerdict | None:
+    """Exact falsified verdict at the first of +-y, +-y/||y||_inf that the public evaluator rejects.
+
+    At an exact tie f(y) = 0 the public evaluator can round one scaling of y
+    to a hold and another to the violation it is.
+    """
+    scaled = y / np.abs(y).max()
+    for z in (y, -y, scaled, -scaled):
         holds, lhs, rhs = weak_condition_holds_for(B, z, 1.0, pat)
         if not holds:
             verdict = _falsified("weak_l1", z, lhs, rhs)
@@ -412,11 +486,12 @@ def _falsified(mode: str, z: np.ndarray, lhs: float, rhs: float) -> ConditionVer
     )
 
 
-def _refine(B, mode, p, spec, z, budget: SearchBudget, rng):
-    """Pattern search minimizing the margin; the sort and sign partition make
-    the margin non-smooth, so no gradients."""
+def _refine(evaluate, z: np.ndarray, budget: SearchBudget, rng):
+    """Pattern search minimizing the margin -> (z, evaluate(z)) at the first
+    violation or the smallest margin; the sort and sign partition make the
+    margin non-smooth, so no gradients."""
     dim = z.size
-    _, margin, lhs, rhs = _violation(B, mode, p, spec, z)
+    best = evaluate(z)
     step = 0.5
     for _ in range(budget.refine_steps):
         improved = False
@@ -424,18 +499,18 @@ def _refine(B, mode, p, spec, z, budget: SearchBudget, rng):
             for direction in (1.0, -1.0):
                 trial = z.copy()
                 trial[j] += direction * step
-                norm = np.linalg.norm(trial)
+                norm = math.sqrt(trial @ trial)
                 if norm == 0.0:
                     continue
                 trial /= norm
-                violated, m, l, r = _violation(B, mode, p, spec, trial)
-                if violated:
-                    return True, (trial, l, r)
-                if m < margin:
-                    z, margin, lhs, rhs = trial, m, l, r
+                result = evaluate(trial)
+                if result[0]:
+                    return trial, result
+                if result[1] < best[1]:
+                    z, best = trial, result
                     improved = True
         if not improved:
             step *= _STEP_SHRINK
             if step < 1e-9:
                 break
-    return False, (z, lhs, rhs, margin)
+    return z, best

@@ -353,11 +353,9 @@ def run_strong_vs_weak(
     )
 
 
-def _probe_trial(n, codim, p, rho, ri, trial, budget, seed):
+def _probe_trial(n, codim, p, pattern, ri, trial, budget, seed):
     trial_seed = seed.child(ri, trial)
     B = sample_gaussian_matrix(n, codim, trial_seed)
-    size = max(1, int(round(rho * n)))
-    pattern = SupportPattern.nonnegative(size)
     mode = "weak_l1" if p == 1.0 else ("weak_l0" if p == 0.0 else "weak_lp")
     verdict = certify(B, mode, p, pattern, replace(budget, seed=trial_seed.child(1)))
     return {"trial": trial, "seed": trial_seed.seed, "falsified": not verdict.holds, "witness": verdict.witness}
@@ -383,7 +381,8 @@ def run_weak_threshold_probe(
     _check_counts_and_rhos(rho_list, trials=trials)
     points = []
     for ri, rho in enumerate(rho_list):
-        records = [_probe_trial(n, codim, p, rho, ri, trial, budget, seed) for trial in range(trials)]
+        pattern = SupportPattern.nonnegative(max(1, int(round(rho * n))))
+        records = [_probe_trial(n, codim, p, pattern, ri, trial, budget, seed) for trial in range(trials)]
         falsified = sum(1 for r in records if r["falsified"])
         points.append(
             {

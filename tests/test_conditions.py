@@ -17,15 +17,33 @@ def kernel_column(k: int) -> np.ndarray:
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        C.SupportPattern(support=(2, 1), signs=(1, 1))
-    with pytest.raises(ValueError):
-        C.SupportPattern(support=(1, 1), signs=(1, 1))
-    with pytest.raises(ValueError):
-        C.SupportPattern(support=(0, 1), signs=(1, 2))
     pat = C.SupportPattern.nonnegative(3)
     assert pat.support == (0, 1, 2)
     assert pat.signs == (1, 1, 1)
+    assert pat.support_array.tolist() == [0, 1, 2] and pat.sign_array.tolist() == [1.0, 1.0, 1.0]
+    assert not pat.support_array.flags.writeable and not pat.sign_array.flags.writeable
+    # every input the checks accept is stored as int rows and float signs
+    for support, signs, rows in [((), (), []), ((1.0, 4.0), (True, -1.0), [1, 4]), ((np.int64(2), 5), (-1, 1), [2, 5])]:
+        pat = C.SupportPattern(support, signs)
+        assert pat.support_array.tolist() == rows and pat.sign_array.tolist() == [float(v) for v in signs]
+
+
+@pytest.mark.parametrize(
+    "support,signs,message",
+    [
+        ((1, 1), (1, 1), "support indices must be distinct"),
+        ((3, 1, 3), (1, 1, 1), "support indices must be distinct"),  # duplicates are named before the order
+        ((2, 1), (1, 1), "support must be sorted"),
+        ((-1, 2), (1, 1), "support indices must be nonnegative"),
+        ((0, 1), (1, 2), "signs must be"),
+        ((0, 1), (1, "-1"), "signs must be"),
+        ((0, 1), (1,), "signs must be"),
+        ((0, 1), (1, 1, -1), "signs must be"),
+    ],
+)
+def test_pattern_rejections(support, signs, message):
+    with pytest.raises(ValueError, match=message):
+        C.SupportPattern(support=support, signs=signs)
 
 
 def test_partition_on_the_explicit_kernel():
@@ -368,6 +386,49 @@ def test_ties_in_the_oracle_kernel_agree_with_the_pattern():
     assert tied & fights and not tied & set(t_minus)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_prepared_weak_evaluator_equals_the_public_one(p):
+    """One evaluator reused across directions (ties included) gives the public evaluator's floats."""
+    B, z, pat = _kernel_with_ties(3100)
+    rng = la.RngSeed(3300).generator()
+    directions = [z, -z, *rng.normal(size=(6, 6))]
+    for signs in [pat.signs, *(tuple(int(v) for v in rng.choice([-1, 1], size=len(pat.support))) for _ in range(3))]:
+        pattern = C.SupportPattern(pat.support, signs)
+        evaluate = C._evaluator(B, "weak_lp", p, pattern)
+        for direction in directions:
+            violated, margin, lhs, rhs = evaluate(direction)
+            assert (not violated, lhs, rhs) == C.weak_condition_holds_for(B, direction, p, pattern)
+            assert (not violated, lhs, rhs) == _oracle_weak_condition_holds_for(B, direction, p, pattern)
+            assert margin == rhs - lhs
+
+
+@pytest.mark.parametrize("rho,holds", [(0.5, True), (0.8, False)])
+def test_certify_evaluates_every_direction_publicly_from_one_prepared_evaluator(monkeypatch, rho, holds):
+    built, results = [], []
+    evaluator, public = C._evaluator, C.weak_condition_holds_for
+
+    def counted(*args):
+        results.append(public(*args))
+        return results[-1]
+
+    monkeypatch.setattr(C, "_evaluator", lambda *args: built.append(args[1:]) or evaluator(*args))
+    monkeypatch.setattr(C, "weak_condition_holds_for", counted)
+    B = la.sample_gaussian_matrix(600, 6, la.RngSeed(600))
+    pattern = C.SupportPattern.nonnegative(int(rho * 600))
+    verdict = C.certify(B, "weak_lp", 0.5, pattern, C.SearchBudget(16, 4))
+    assert verdict.holds is holds
+    assert built == [("weak_lp", 0.5, pattern)]
+    if holds:
+        # 16 sweep directions, then 8 refinements of a start and 4 rounds of 2 * 6 moves each
+        assert len(results) == 16 + 8 * (1 + 4 * 2 * 6)
+    else:
+        assert results[-1] == (False, verdict.witness["lhs"], verdict.witness["rhs"])
+    # after the run, a public call prepares its own evaluator
+    assert C._prepared is None
+    public(B, np.ones(6), 0.5, pattern)
+    assert built[1:] == [("weak_lp", 0.5, pattern)]
+
+
 @pytest.mark.parametrize(
     "p,digest",
     [
@@ -519,6 +580,24 @@ def test_weak_l1_falsified_witness_reverifies_exactly():
     holds, lhs, rhs = C.weak_condition_holds_for(B, np.asarray(verdict.witness["z"]), 1.0, pat)
     assert not holds
     assert lhs == verdict.witness["lhs"] and rhs == verdict.witness["rhs"]
+
+
+def test_weak_l1_exact_tie_is_decided_through_the_scaled_direction():
+    """Rounded-Gaussian basis where the LP's tau is exactly 1 and f(y) = 0: +-y alone did not re-check."""
+    B = np.array(
+        [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [-2, 1, -1, 1], [3, 0, 1, 0], [-1, -1, 1, 1], [0, -2, -1, 0],
+         [1, 0, 0, 1], [0, 0, 0, -2], [0, 0, 1, -1], [-1, 1, 0, 1], [-1, 0, -1, 0], [0, 1, 1, 1], [-2, 1, 0, -1],
+         [-1, 0, 1, 0], [-2, 0, 0, 2], [-1, 3, 2, 0], [2, 0, 1, -1], [0, -1, -2, 0], [-1, 1, 1, 0], [0, 0, -2, 0],
+         [0, 0, -1, -2], [0, 0, 1, 1], [1, 0, 1, 0]],
+        dtype=float,
+    )
+    pat = C.SupportPattern((4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 18, 19, 20), (-1, -1, 1, -1, 1, -1, 1, -1, -1, 1, -1, -1, -1))
+    verdict = C.certify(B, "weak_l1", 1.0, pat)
+    assert not verdict.holds and verdict.certificate_exact
+    assert verdict.detail["tau"] == 1.0
+    holds, lhs, rhs = C.weak_condition_holds_for(B, np.asarray(verdict.witness["z"]), 1.0, pat)
+    assert not holds and lhs == rhs
+    assert (lhs, rhs) == (verdict.witness["lhs"], verdict.witness["rhs"])
 
 
 def test_weak_l1_rank_deficient_complement_is_falsified():
