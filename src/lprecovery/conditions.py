@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -156,7 +155,7 @@ def _complement(n: int, rows: np.ndarray) -> np.ndarray:
     """The indices in range(n) outside ``rows``, in increasing order."""
     mask = np.ones(n, dtype=bool)
     mask[rows] = False
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
 def strong_condition_holds_for(B: np.ndarray, z: np.ndarray, p: float, rho_n: int):
@@ -237,8 +236,8 @@ def _evaluator(B: np.ndarray, mode: str, p: float, spec):
     rows, signs = spec.support_array, spec.sign_array
     comp = _complement(B.shape[0], rows)
     fro2 = 2.0 * np.linalg.norm(B)
-    row_norms = cache(lambda: np.linalg.norm(B[rows], axis=1))
-    b_max = cache(lambda: max(1.0, float(np.abs(B).max())))
+    row_norms = _once(lambda: np.linalg.norm(B[rows], axis=1))
+    b_max = _once(lambda: max(1.0, float(np.abs(B).max())))
 
     def evaluate(z):
         bz = B @ z
@@ -261,6 +260,23 @@ def _evaluator(B: np.ndarray, mode: str, p: float, spec):
         return not holds, rhs - lhs, lhs, rhs
 
     return evaluate
+
+
+def _once(compute):
+    """A function returning compute(), computed on its first call only.
+
+    Cheaper to build than a ``functools.cache`` wrapper, which matters to a
+    public call outside certify: it builds an evaluator for one evaluation,
+    and only ties ever call these.
+    """
+    value = []
+
+    def get():
+        if not value:
+            value.append(compute())
+        return value[0]
+
+    return get
 
 
 def _mode_p(mode: str, p: float) -> float:

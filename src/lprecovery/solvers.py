@@ -1,7 +1,10 @@
 """The three recovery programs.
 
-* ``solve_l1``            exact basis pursuit via linear programming on the
-                          split formulation x = u - v, u, v >= 0.
+* ``solve_l1``            exact basis pursuit by the l1 homotopy (the LASSO
+                          path down to lam = 0), checked by a dual
+                          certificate; the split linear program x = u - v,
+                          u, v >= 0 on the HiGHS simplex runs only where the
+                          path fails that certificate.
 * ``solve_lp_irls``       local lp-quasinorm minimization (0 < p < 1) by
                           iteratively reweighted least squares with a
                           shrinking smoothing parameter; local minimum only.
@@ -38,6 +41,15 @@ __all__ = [
 
 RECOVERY_TOL = 1e-4
 _ZERO_REL_TOL = 1e-12
+# an l1 solution's entries below this fraction of its largest are zeros
+_SUPPORT_REL_TOL = 1e-9
+
+# the l1 homotopy: a breakpoint within this fraction of lam is the event just
+# taken, a joining column this close to T's span is dependent, and a path
+# whose lam falls this far below its start has lost its precision; it walks
+# at most this many segments per column of A
+_PATH_TOL = 1e-10
+_PATH_STEPS_PER_COLUMN = 4
 
 # the smoothing schedule of solve_lp_irls
 _IRLS_EPS_INIT = 1.0
@@ -120,24 +132,129 @@ def _finish(inst: RecoveryInstance, x: np.ndarray, objective: float, iterations:
 def solve_l1(inst: RecoveryInstance) -> SolverResult:
     """Global minimizer of ||x||_1 subject to A x = y.
 
-    Split formulation solved by the HiGHS simplex; the returned vertex is
-    refit by least squares on its support and re-certified from the dual:
-    |A^T lam|_inf <= 1 and y . lam equals the objective (complementary
-    slackness of the split program).  HiGHS presolve is off: it finds
-    nothing to remove in the dense split program [A, -A], so it only adds
-    time; the simplex reaches the same vertex in the same number of
-    iterations without it, and handles zero, duplicated or dependent rows
-    of A as they are.
+    The l1 homotopy walks the LASSO path min 1/2 ||y - A x||^2 + lam ||x||_1
+    from lam = ||A^T y||_inf down to lam = 0, where its end point solves
+    basis pursuit; below the weak threshold that takes about k breakpoints.
+    Its end point is refit by least squares on its support and certified:
+    ||A x - y|| <= 1e-9 (1 + ||y||), the dual nu from the path's last segment
+    has |A^T nu|_inf <= 1 + 1e-7, and |y . nu - ||x||_1| <= 1e-8 (1 + ||x||_1).
+    Only when the path fails that certificate, or stops short of lam = 0
+    (``_l1_homotopy`` says when), does the split linear program x = u - v,
+    u, v >= 0 run on the HiGHS simplex, its vertex refit and certified the
+    same way (with the equality marginals as nu); ``SolverError`` when that
+    fails too, or when the program is infeasible.  ``iterations`` counts the
+    path's segments, or the simplex iterations when the linear program ran.
     """
-    from scipy.optimize import linprog  # the LP stack loads on the first l1 solve, not on import
-
     A, y = inst.A, inst.y
-    m, n = A.shape
+    n = A.shape[1]
     if np.allclose(y, 0.0, atol=1e-300):
         return _finish(inst, np.zeros(n), 0.0, 0, True)
-    cost = np.ones(2 * n)
+    path = _l1_homotopy(A, y)
+    if path is not None:
+        end, nu, segments = path
+        x, objective, failure = _certified_l1(A, y, end, nu)
+        if failure is None:
+            return _finish(inst, x, objective, segments, True)
+    vertex, marginals, iterations = _l1_simplex(A, y)
+    x, objective, failure = _certified_l1(A, y, vertex, marginals)
+    if failure is not None:
+        raise SolverError(failure)
+    return _finish(inst, x, objective, iterations, True)
+
+
+def _l1_homotopy(A: np.ndarray, y: np.ndarray):
+    """The l1 homotopy down to lam = 0 -> (end point, dual nu, segments), or None.
+
+    On a segment with active set T and signs s, x_T moves by d = (A_T^T A_T)^{-1} s
+    per unit decrease of lam, and the correlations c = A^T (y - A x) by
+    A^T nu with nu = A_T d.  The segment stops at the first breakpoint: an
+    inactive correlation reaching +-lam (that column joins T with the sign it
+    reaches) or an active coefficient reaching 0 (that column leaves T).  A
+    segment whose end at lam = 0 meets the measurements without a sign
+    change is the last one, and its nu the dual certificate.  The solves use
+    a reduced QR of A_T kept by column inserts and deletes.  None when a
+    joining column is (numerically) dependent on T or T already has m
+    columns, when the path reaches lam = 0 off the measurements (y outside
+    A's range), or when lam falls below ``_PATH_TOL`` of its start or
+    4 n segments do not reach the end.
+    """
+    import scipy.linalg  # loads on the first l1 solve, not with the package
+
+    m, n = A.shape
+    corr = A.T @ y
+    first = int(np.argmax(np.abs(corr)))
+    lam = lam_start = float(abs(corr[first]))
+    if not lam > 0.0:
+        return None
+    active, signs = [first], [math.copysign(1.0, corr[first])]
+    corr[first] = np.nan  # an active column's correlation is lam * sign; NaN keeps it from joining again
+    coef = np.zeros(1)
+    Q, R = scipy.linalg.qr(A[:, [first]], mode="economic")
+    y_tol = 1e-9 * (1.0 + float(np.linalg.norm(y)))
+    trtrs = scipy.linalg.lapack.dtrtrs
+    for step in range(1, _PATH_STEPS_PER_COLUMN * n + 1):
+        s = np.array(signs)
+        w = trtrs(R, s, trans=1)[0]
+        d = trtrs(R, w)[0]
+        nu = Q @ w
+        end = coef + lam * d
+        # sign changes below the refit's support threshold do not count
+        if (end * s).min() >= -_SUPPORT_REL_TOL * np.abs(end).max() and np.linalg.norm(y - Q @ (R @ end)) <= y_tol:
+            x = np.zeros(n)
+            x[active] = end
+            return x, nu, step
+        slope = A.T @ nu
+        floor = _PATH_TOL * lam
+        with np.errstate(divide="ignore", invalid="ignore"):
+            join = np.concatenate(((lam - corr) / (1.0 - slope), (lam + corr) / (1.0 + slope)))
+            leave = -coef / d
+        join = np.where(join > floor, join, np.inf)
+        leave = np.where(leave > floor, leave, np.inf)
+        j, i = int(join.argmin()), int(leave.argmin())
+        gamma = min(join[j], leave[i])
+        if gamma >= lam:
+            return None
+        coef += gamma * d
+        corr -= gamma * slope
+        lam -= gamma
+        if lam <= _PATH_TOL * lam_start:
+            return None
+        if leave[i] <= join[j]:
+            corr[active.pop(i)] = lam * signs.pop(i)
+            coef = np.delete(coef, i)
+            Q, R = scipy.linalg.qr_delete(Q, R, i, 1, which="col", check_finite=False)
+            # from a square A_T, the update returns the full factors; keep them reduced
+            Q, R = Q[:, : len(active)], R[: len(active)]
+        else:
+            if len(active) == m:
+                return None
+            sign, j = divmod(j, n)  # join's first half holds the crossings of +lam
+            try:
+                Q, R = scipy.linalg.qr_insert(
+                    Q, R, A[:, j], len(active), which="col", rcond=_PATH_TOL, check_finite=False
+                )
+            except np.linalg.LinAlgError:
+                return None
+            active.append(j)
+            signs.append(-1.0 if sign else 1.0)
+            corr[j] = np.nan
+            coef = np.append(coef, 0.0)
+    return None
+
+
+def _l1_simplex(A: np.ndarray, y: np.ndarray):
+    """The split linear program by the HiGHS simplex -> (vertex, equality marginals, iterations).
+
+    HiGHS presolve is off: it finds nothing to remove in the dense split
+    program [A, -A], so it only adds time; the simplex reaches the same
+    vertex in the same number of iterations without it, and handles zero,
+    duplicated or dependent rows of A as they are.
+    """
+    from scipy.optimize import linprog  # the LP stack loads on the first fallback, not on import
+
+    n = A.shape[1]
     res = linprog(
-        cost,
+        np.ones(2 * n),
         A_eq=np.hstack([A, -A]),
         b_eq=y,
         bounds=(0, None),
@@ -148,19 +265,27 @@ def solve_l1(inst: RecoveryInstance) -> SolverResult:
         raise SolverError("l1 program infeasible (A not full row rank?)")
     if res.status != 0:
         raise SolverError(f"l1 program did not converge: {res.message}")
-    x = res.x[:n] - res.x[n:]
-    # HiGHS meets A x = y only to its feasibility tolerance (~1e-7), which
-    # alone can break the duality-gap test; refit the vertex on its support
-    support = np.abs(x) > 1e-9 * np.abs(x).max()
-    x = np.zeros(n)
+    return res.x[:n] - res.x[n:], np.asarray(res.eqlin.marginals), int(getattr(res, "nit", 0))
+
+
+def _certified_l1(A: np.ndarray, y: np.ndarray, x: np.ndarray, nu: np.ndarray):
+    """Refit x by least squares on its support and check it -> (x, objective, failure or None).
+
+    The refit removes the path's rounding and the simplex's feasibility
+    tolerance (~1e-7, which alone can break the duality-gap test).  The
+    failure names the first test the refit point or the dual nu misses.
+    """
+    support = np.abs(x) > _SUPPORT_REL_TOL * np.abs(x).max()
+    x = np.zeros(A.shape[1])
     x[support] = np.linalg.lstsq(A[:, support], y, rcond=None)[0]
     objective = float(np.abs(x).sum())
-    lam = np.asarray(res.eqlin.marginals)
-    gap = abs(float(y @ lam) - objective)
-    if np.abs(A.T @ lam).max() > 1.0 + 1e-7 or gap > 1e-8 * (1.0 + objective):
-        raise SolverError(f"l1 optimality certificate failed (gap {gap:.2e})")
-    iterations = int(getattr(res, "nit", 0))
-    return _finish(inst, x, objective, iterations, True)
+    residual = float(np.linalg.norm(A @ x - y))
+    if not residual <= 1e-9 * (1.0 + float(np.linalg.norm(y))):
+        return x, objective, f"l1 solution misses the measurements (residual {residual:.2e})"
+    gap = abs(float(y @ nu) - objective)
+    if not (np.abs(A.T @ nu).max() <= 1.0 + 1e-7 and gap <= 1e-8 * (1.0 + objective)):
+        return x, objective, f"l1 optimality certificate failed (gap {gap:.2e})"
+    return x, objective, None
 
 
 def _smoothed_objective(x: np.ndarray, eps: float, p: float) -> float:

@@ -143,6 +143,20 @@ def test_solve_irls_on_a_zero_row_exits_with_a_numerical_error(tmp_path, capsys)
     assert "numerical error" in err
 
 
+def test_solve_l1_on_infeasible_measurements_exits_with_a_numerical_error(tmp_path, capsys):
+    A = la.sample_gaussian_matrix(10, 20, 21)
+    A[4] = 0.0
+    y = A @ np.eye(20)[3]
+    y[4] = 1.0  # no x reaches this entry through a zero row
+    la.write_matrix_csv(tmp_path / "A.csv", A)
+    la.write_vector_csv(tmp_path / "y.csv", y)
+    (tmp_path / "job.json").write_text(json.dumps({"matrix": "A.csv", "y": "y.csv"}))
+    code, out, err = run_cli(capsys, "solve", "--instance", str(tmp_path / "job.json"), "--method", "l1")
+    assert code == 2
+    assert out == ""
+    assert "numerical error: l1 program infeasible" in err
+
+
 def test_experiment_example1_and_csv(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"k": 2}))

@@ -134,6 +134,25 @@ def test_importing_the_package_and_cli_loads_no_lp_stack():
     assert _fresh(code).strip() == "False"
 
 
+def test_l1_solves_load_the_lp_stack_only_on_fallback():
+    # the homotopy needs scipy.linalg alone; scipy.optimize loads when the linear program runs
+    code = """
+import sys
+import numpy as np
+from lprecovery import linalg, solvers
+A = linalg.sample_gaussian_matrix(10, 20, 21)
+solvers.solve_l1(solvers.RecoveryInstance(A=A, y=A[:, 3] - 1.5 * A[:, 7]))
+loaded = ['scipy.optimize' in sys.modules]
+A[4] = 0.0
+try:
+    solvers.solve_l1(solvers.RecoveryInstance(A=A, y=np.eye(10)[4]))
+except solvers.SolverError:
+    loaded.append('scipy.optimize' in sys.modules)
+print(loaded)
+"""
+    assert _fresh(code).strip() == "[False, True]"
+
+
 def test_importing_the_package_and_cli_loads_no_scipy():
     # scipy.linalg and scipy.special load on the first factorization or strong limit
     code = f"import sys, lprecovery, lprecovery.cli; print({_LOADED_SCIPY})"

@@ -177,19 +177,21 @@ def test_irls_monte_carlo_recovery_rate():
 
 
 # x_hat, iterations and recovered of both recovery programs on a seeded
-# 50 x 100 set, computed with the numpy-lstsq weighted solve and HiGHS with
-# presolve; entries not listed are zero (to 1e-13)
+# 50 x 100 set, computed with the numpy-lstsq weighted solve and the HiGHS
+# simplex without presolve; the l1 iterations are the homotopy's path
+# segments (the simplex took 25, 59 and 91), its x_hat is the simplex's to
+# the bit; entries not listed are zero (to 1e-13)
 PINNED_RECOVERY = {
-    ("l1", 5): (25, True, {
+    ("l1", 5): (5, True, {
         40: 1.0919737996097347, 51: -0.08765322904914696, 62: -0.11995258399058285, 92: 1.7096998448472327,
         99: 0.5474187314708356,
     }),
-    ("l1", 12): (59, True, {
+    ("l1", 12): (22, True, {
         5: 0.028795717265983185, 30: -0.467028772943739, 34: 1.1198119278461982, 39: -0.4985938926956221,
         41: 0.06046682415601233, 47: -1.9006090151779738, 58: 1.6193697580092972, 62: -0.25316701119300167,
         70: 1.5729598173034893, 78: 2.470767028413123, 80: -1.2283253294459193, 87: -0.9057483197117848,
     }),
-    ("l1", 28): (91, False, {
+    ("l1", 28): (76, False, {
         1: 0.03182348979798351, 2: 0.07370119559992339, 3: -0.12358893826468896, 5: -0.9958395105991881,
         11: -0.017168580332262554, 13: -0.019064888356355742, 14: -0.07314088030687974,
         19: -0.1369873021861371, 20: -0.04475865344276148, 21: 0.0032738651992646347,
@@ -239,7 +241,7 @@ def test_recovery_outputs_are_pinned(solver, k):
 
 @pytest.mark.parametrize("defect", ["zero", "duplicate", "dependent"])
 def test_l1_certifies_and_recovers_with_redundant_rows(defect):
-    # presolve would drop these rows; the simplex must cope with them as they are
+    # A has rank 19, not 20: the path and the simplex must cope with the rows as they are
     for trial in range(5):
         A = la.sample_gaussian_matrix(20, 40, la.RngSeed(2040).child(trial))
         if defect == "zero":
@@ -253,3 +255,64 @@ def test_l1_certifies_and_recovers_with_redundant_rows(defect):
         result = sv.solve_l1(sv.RecoveryInstance(A=A, y=A @ x, p=1.0, x_true=x))
         assert result.recovered
         assert result.objective == pytest.approx(np.abs(x).sum(), rel=1e-12)
+
+
+def test_l1_infeasible_measurements_raise():
+    A = la.sample_gaussian_matrix(10, 20, 21)
+    A[4] = 0.0
+    y = A @ np.eye(20)[3]
+    y[4] = 1.0  # no x reaches this entry through a zero row
+    with pytest.raises(sv.SolverError, match="infeasible"):
+        sv.solve_l1(sv.RecoveryInstance(A=A, y=y, p=1.0))
+    # the certificate's primal test rejects the least-squares fit the path would end at
+    x = np.linalg.lstsq(A, y, rcond=None)[0]
+    _, _, failure = sv._certified_l1(A, y, x, np.zeros(10))
+    assert "misses the measurements" in failure
+
+
+def _lp_answer(inst: sv.RecoveryInstance):
+    vertex, marginals, iterations = sv._l1_simplex(inst.A, inst.y)
+    x, objective, failure = sv._certified_l1(inst.A, inst.y, vertex, marginals)
+    assert failure is None
+    return x, objective, iterations
+
+
+@pytest.mark.parametrize("failure", ["stopped", "dual infeasible", "duality gap"])
+def test_l1_falls_back_to_the_lp_when_the_path_fails(monkeypatch, failure):
+    homotopy = sv._l1_homotopy
+
+    def failing_path(A, y):
+        if failure == "stopped":
+            return None
+        x, nu, steps = homotopy(A, y)
+        if failure == "duality gap":
+            return x, 0.5 * nu, steps  # |A^T nu|_inf <= 1/2, but y . nu is half the objective
+        # a push orthogonal to y keeps y . nu and breaks |A^T nu|_inf <= 1
+        push = np.ones(y.size) - (y.sum() / (y @ y)) * y
+        return x, nu + 2.0 * push / np.abs(A.T @ push).max(), steps
+
+    instances = [pinned_instance(k) for k in (5, 12, 28)]
+    expected = [_lp_answer(inst) for inst in instances]
+    monkeypatch.setattr(sv, "_l1_homotopy", failing_path)
+    for k, inst, (x, objective, iterations) in zip((5, 12, 28), instances, expected):
+        result = sv.solve_l1(inst)
+        assert np.array_equal(result.x_hat, x)
+        assert result.objective == objective
+        assert result.iterations == iterations  # simplex iterations, not path segments
+        assert result.iterations != PINNED_RECOVERY[("l1", k)][0]
+
+
+def test_l1_path_and_lp_agree_across_sparsities():
+    rng = np.random.default_rng(1919)
+    for k in range(2, 48, 3):
+        A = rng.standard_normal((50, 100))
+        x = np.zeros(100)
+        x[rng.choice(100, k, replace=False)] = rng.standard_normal(k)
+        inst = sv.RecoveryInstance(A=A, y=A @ x, p=1.0)
+        path = sv._l1_homotopy(inst.A, inst.y)
+        assert path is not None
+        x_path, objective, failure = sv._certified_l1(inst.A, inst.y, path[0], path[1])
+        assert failure is None
+        x_lp, lp_objective, _ = _lp_answer(inst)
+        assert np.abs(x_path - x_lp).max() <= 1e-12
+        assert objective == pytest.approx(lp_objective, rel=1e-12)
