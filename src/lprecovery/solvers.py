@@ -169,7 +169,9 @@ def _l1_homotopy(A: np.ndarray, y: np.ndarray):
     per unit decrease of lam, and the correlations c = A^T (y - A x) by
     A^T nu with nu = A_T d.  The segment stops at the first breakpoint: an
     inactive correlation reaching +-lam (that column joins T with the sign it
-    reaches) or an active coefficient reaching 0 (that column leaves T).  A
+    reaches, and with it every column tied there, see ``_join_ties``; at the
+    start every column tied at the largest correlation joins) or an active
+    coefficient reaching 0 (that column leaves T).  A
     segment whose end at lam = 0 meets the measurements without a sign
     change is the last one, and its nu the dual certificate.  The solves use
     a reduced QR of A_T kept by column inserts and deletes.  None when a
@@ -188,8 +190,9 @@ def _l1_homotopy(A: np.ndarray, y: np.ndarray):
         return None
     active, signs = [first], [math.copysign(1.0, corr[first])]
     corr[first] = np.nan  # an active column's correlation is lam * sign; NaN keeps it from joining again
-    coef = np.zeros(1)
     Q, R = scipy.linalg.qr(A[:, [first]], mode="economic")
+    Q, R = _join_ties(A, Q, R, corr, lam, np.zeros(n), active, signs)
+    coef = np.zeros(len(active))
     y_tol = 1e-9 * (1.0 + float(np.linalg.norm(y)))
     trtrs = scipy.linalg.lapack.dtrtrs
     for step in range(1, _PATH_STEPS_PER_COLUMN * n + 1):
@@ -238,8 +241,38 @@ def _l1_homotopy(A: np.ndarray, y: np.ndarray):
             active.append(j)
             signs.append(-1.0 if sign else 1.0)
             corr[j] = np.nan
-            coef = np.append(coef, 0.0)
+            Q, R = _join_ties(A, Q, R, corr, lam, slope, active, signs)
+            coef = np.append(coef, np.zeros(len(active) - coef.size))
     return None
+
+
+def _join_ties(A, Q, R, corr, lam, slope, active, signs):
+    """Join the inactive columns tied with the one that just joined -> the updated (Q, R).
+
+    A column is tied when its correlation lies within ``_PATH_TOL`` lam of
+    +-lam and moved outward on the segment just ended (sign(c_j) slope_j < 1).
+    Each joins by one QR insert with the sign of its correlation; one that is
+    dependent on T, or that comes once T has m columns, stays inactive.
+    ``active``, ``signs`` and ``corr`` are updated in place.
+    """
+    near = np.abs(corr) >= (1.0 - _PATH_TOL) * lam  # an active column's NaN compares False
+    if not np.count_nonzero(near):
+        return Q, R
+    import scipy.linalg
+
+    for t in np.flatnonzero(near & (np.sign(corr) * slope < 1.0)):
+        if len(active) == A.shape[0]:
+            break
+        try:
+            Q, R = scipy.linalg.qr_insert(
+                Q, R, A[:, t], len(active), which="col", rcond=_PATH_TOL, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            continue
+        active.append(int(t))
+        signs.append(math.copysign(1.0, corr[t]))
+        corr[t] = np.nan
+    return Q, R
 
 
 def _l1_simplex(A: np.ndarray, y: np.ndarray):

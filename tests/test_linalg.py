@@ -146,6 +146,21 @@ def _lstsq_reference(A, y, w):
     return d * u
 
 
+@pytest.mark.parametrize("k", [2, 12, 49])
+def test_min_norm_solve_meets_the_measurements_at_irls_floor_weights(k):
+    # IRLS at its smoothing floor: k weights near 1, the rest (1e-6)^-2, so
+    # cond(R)^2 is about 1e13 and the seminormal solve without its corrected
+    # step misses the measurements
+    A = la.sample_gaussian_matrix(50, 100, la.RngSeed(5160).child(k))
+    y = la.sample_gaussian_vector(50, la.RngSeed(5161).child(k))
+    w = np.full(100, 1e12)
+    w[:k] = 1.0
+    x = la.min_norm_weighted_solve(A, y, w)
+    assert np.linalg.norm(A @ x - y) <= 1e-12 * (1.0 + np.linalg.norm(y))
+    expected = _lstsq_reference(A, y, w)
+    assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
 def _outcome(solve, A, y, w):
     try:
         return solve(A, y, w)

@@ -51,14 +51,41 @@ def test_l1_zero_measurements():
     assert result.converged
 
 
-def test_l1_recovers_example1_vector(matrix_k2):
+def test_l1_recovers_example1_vector(matrix_k2, monkeypatch):
     k = 2
     x_star = np.concatenate([np.full(k, 9.0), np.ones(k), np.zeros(4 * k)])
     inst = sv.RecoveryInstance(A=matrix_k2, y=matrix_k2 @ x_star, p=1.0, x_true=x_star)
+    # columns tie for the largest correlation: they join the path together,
+    # which then reaches the measurements without the simplex
+    simplex_calls = _count_simplex_calls(monkeypatch)
     result = sv.solve_l1(inst)
+    assert simplex_calls == []
     assert result.converged
     assert np.linalg.norm(result.x_hat - x_star) <= 1e-6
     assert result.recovered
+
+
+def _count_simplex_calls(monkeypatch):
+    calls = []
+    simplex = sv._l1_simplex
+    monkeypatch.setattr(sv, "_l1_simplex", lambda A, y: calls.append(1) or simplex(A, y))
+    return calls
+
+
+def test_l1_joins_a_mirrored_column_pair_together(monkeypatch):
+    # swapping rows 4 and 5 maps column 4 onto column 5 and fixes the other
+    # columns and y, so columns 4 and 5 keep equal correlations and reach lam
+    # together; on 8 of these 10 matrices another column joins first
+    simplex_calls = _count_simplex_calls(monkeypatch)
+    rng = np.random.default_rng(2021)
+    for _ in range(10):
+        A = rng.standard_normal((6, 6))
+        A[5, :4] = A[4, :4]
+        A[:, 5] = A[[0, 1, 2, 3, 5, 4], 4]
+        x = np.array([3.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        result = sv.solve_l1(sv.RecoveryInstance(A=A, y=A @ x, p=1.0, x_true=x))
+        assert result.recovered
+    assert simplex_calls == []
 
 
 def test_l1_certifies_an_optimum_near_the_transition():
@@ -177,10 +204,11 @@ def test_irls_monte_carlo_recovery_rate():
 
 
 # x_hat, iterations and recovered of both recovery programs on a seeded
-# 50 x 100 set, computed with the numpy-lstsq weighted solve and the HiGHS
-# simplex without presolve; the l1 iterations are the homotopy's path
-# segments (the simplex took 25, 59 and 91), its x_hat is the simplex's to
-# the bit; entries not listed are zero (to 1e-13)
+# 50 x 100 set.  The IRLS entries were first computed with a numpy-lstsq
+# weighted solve and hold, iterations exactly, with the corrected seminormal
+# solve of ``linalg``; the l1 entries are the HiGHS simplex's (presolve off)
+# to the bit, and its iterations are the homotopy's path segments (the
+# simplex took 25, 59 and 91); entries not listed are zero (to 1e-13)
 PINNED_RECOVERY = {
     ("l1", 5): (5, True, {
         40: 1.0919737996097347, 51: -0.08765322904914696, 62: -0.11995258399058285, 92: 1.7096998448472327,
