@@ -4,8 +4,10 @@ All conditions quantify over every nonzero z in the kernel-coefficient
 space.  They are positively homogeneous in z, so only unit directions
 matter; for a one-dimensional kernel the two directions +-1 decide the
 verdict exactly.  ``weak_l1`` is decided exactly at any dimension by one
-linear program (a dual certificate or a witness).  Otherwise sampling
-cannot decide the quantifier, so ``certify`` reports either a concrete
+linear program (a dual certificate or a witness), which a numpy vertex walk
+on its dual solves in dim unknowns; HiGHS solves it only where the walk
+stops short or its verdict does not re-check.  Otherwise sampling cannot
+decide the quantifier, so ``certify`` reports either a concrete
 counterexample (with a re-verifiable witness) or "not falsified within
 budget", flagged through ``certificate_exact``.
 
@@ -58,6 +60,12 @@ _ZERO_REL_TOL = 1e-12
 _prepared = None
 # the pattern search multiplies its step by this after a round with no improving move
 _STEP_SHRINK = 0.5
+# the weak-l1 vertex walk: a residual or move below this fraction of its scale
+# is zero and a multiplier up to 1 + this is in bounds; a vertex system past
+# this condition number is singular; it visits at most this many vertices per row
+_WALK_TOL = 1e-12
+_WALK_COND = 1e12
+_WALK_STEPS_PER_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -68,16 +76,29 @@ class SupportPattern:
     signs: tuple
 
     def __post_init__(self) -> None:
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("support indices must be distinct")
-        if list(self.support) != sorted(self.support):
+        rows = np.array(self.support)
+        if rows.dtype.kind in "bO":  # bools and number-like objects compare as the numbers they are
+            rows = rows.astype(float)
+        if rows.ndim != 1 or rows.dtype.kind not in "iuf":
+            raise TypeError("support indices must be numbers")
+        if not (rows[1:] > rows[:-1]).all():
+            if np.unique(rows).size != rows.size:
+                raise ValueError("support indices must be distinct")
             raise ValueError("support must be sorted")
-        if any(i < 0 for i in self.support):
+        if rows.size and rows[0] < 0:
             raise ValueError("support indices must be nonnegative")
-        if len(self.signs) != len(self.support) or any(s not in (-1, 1) for s in self.signs):
+        try:
+            signs = np.array(self.signs)
+        except ValueError:  # a ragged sequence
+            signs = None
+        if signs is None or signs.shape != rows.shape or not ((signs == 1) | (signs == -1)).all():
             raise ValueError("signs must be +-1, one per support index")
         # shared by every evaluation of the pattern, so read-only
-        arrays = {"support_array": np.array(self.support, dtype=int), "sign_array": np.array(self.signs, dtype=float)}
+        integral = rows.dtype.kind == "i"
+        arrays = {
+            "support_array": rows.astype(int, copy=False) if integral else np.array(self.support, dtype=int),
+            "sign_array": signs.astype(float) if signs.dtype.kind in "biuf" else np.array(self.signs, dtype=float),
+        }
         for name, value in arrays.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -108,9 +129,11 @@ class ConditionVerdict:
     ``holds`` means "not falsified"; it is a proof only when
     ``certificate_exact`` is set (one-dimensional kernels, and ``weak_l1``
     at any dimension, whose ``detail`` then carries the dual certificate
-    ``lambda``, ``tau`` = its sup norm and ``margin`` = 1 - tau).  A
-    falsified verdict carries a witness (z, lhs, rhs) that re-evaluates to a
-    violation with the public condition evaluators alone.
+    ``lambda``, ``tau`` = its sup norm and ``margin`` = 1 - tau, from the
+    vertex walk or, where it stops short, from HiGHS).  A falsified verdict
+    carries a witness (z, lhs, rhs) that re-evaluates to a violation with
+    the public condition evaluators alone; an exact ``weak_l1`` one is the
+    walk's optimal y, scaled to c^T y = 1, or HiGHS's equality marginals.
     """
 
     mode: str
@@ -291,8 +314,10 @@ def certify(B: np.ndarray, mode: str, p: float, pattern_or_rho, budget: SearchBu
     """Certify or falsify a null-space condition over all kernel directions.
 
     One-column B: exact (z = +-1 by homogeneity).  ``weak_l1`` with two or
-    more columns: exact by one linear program, falling back to the search
-    below only if its certificate does not re-check.  Two columns: dense
+    more columns: exact by one linear program, solved by a vertex walk on
+    its dual (numpy only) or, where the walk stops short or its verdict does
+    not re-check, by HiGHS; the search below runs only if that certificate
+    does not re-check either.  Two columns: dense
     angle sweep plus refinement.  Otherwise: random unit directions followed
     by a derivative-free pattern search with shrinking steps on the best
     candidates; any violation is returned as a witness.
@@ -403,7 +428,7 @@ def _certify_exact_1d(mode: str, evaluate) -> ConditionVerdict:
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first weak-l1 LP.
+    """``scipy.optimize.linprog``, imported on the first weak-l1 HiGHS fallback.
 
     The LP stack stays off the package's import path; the name stays a
     module attribute, so it can be stubbed.
@@ -419,22 +444,25 @@ def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict 
     With s the pattern's signs and c = -B_T^T s, rhs - lhs at z is f(z) =
     ||B_Tc z||_1 - c^T z, so the condition is f > 0 on every z != 0.  It
     holds iff tau = min ||lam||_inf subject to B_Tc^T lam = c is below 1,
-    when B_Tc has full column rank.  tau comes from the scale program
+    when B_Tc has full column rank.  tau is the optimum of the scale program
 
         s* = max s  subject to  B_Tc^T mu = s c,  -1 <= mu_i <= 1,  s >= 0
 
     (dim equality rows, box bounds), as tau = 1/s* with lam = mu*/s*.  Its
-    dual is min ||B_Tc y||_1 subject to c^T y = 1, of value 1/tau.  If tau < 1,
-    lam is the certificate: with r = B_Tc^T lam - c and sigma_min the smallest
-    singular value of B_Tc, f(z) >= ((1 - tau) sigma_min - |r|) |z|, which must
-    come out positive.  If tau >= 1, the equality marginals y (up to sign and scale)
-    give f(y) = 1/tau - 1 <= 0.  At c = 0 (an empty support, or B_T^T s = 0)
-    the program is unbounded while tau = 0, so lam = 0 is the certificate and
-    no LP is solved.  HiGHS presolve is off: with dim rows it has little to
-    reduce and costs more time than it saves.  A rank-deficient B_Tc is
-    broken by its null direction.  Falsified verdicts are re-evaluated
-    through ``weak_condition_holds_for``; anything that does not re-check
-    returns None and leaves the verdict to the search.
+    dual is min ||B_Tc y||_1 subject to c^T y = 1, of value 1/tau, and
+    ``_l1_dual_walk`` solves it by a vertex walk in dim unknowns: its optimal
+    vertex y and multipliers give tau and lam.  If tau < 1, lam is the
+    certificate: with r = B_Tc^T lam - c and sigma_min the smallest singular
+    value of B_Tc, f(z) >= ((1 - tau) sigma_min - |r|) |z|, which must come
+    out positive.  If tau >= 1, the witness y (up to sign and scale) gives
+    f(y) = 1/tau - 1 <= 0, re-evaluated through ``weak_condition_holds_for``.
+    At c = 0 (an empty support, or B_T^T s = 0) the program is unbounded
+    while tau = 0, so lam = 0 is the certificate and nothing is solved.  A
+    rank-deficient B_Tc is broken by its null direction.  Where the walk
+    stops short (it returns None) or its verdict does not re-check, the
+    scale program runs on HiGHS (presolve off: with dim rows it has little
+    to reduce), its equality marginals as the witness; anything that still
+    does not re-check returns None and leaves the verdict to the search.
     """
     rows = pat.support_array
     comp = B[_complement(B.shape[0], rows)]
@@ -446,35 +474,160 @@ def _certify_weak_l1_lp(B: np.ndarray, pat: SupportPattern) -> ConditionVerdict 
     sigma_min = float(sigma[-1])
     if sigma_min <= max(padded.shape) * np.finfo(float).eps * sigma[0]:
         return _lp_witness(B, pat, vt[-1], {})
-    if target.any():
-        res = linprog(
-            np.r_[np.zeros(m), -1.0],
-            A_eq=np.hstack([comp.T, -target[:, None]]),
-            b_eq=np.zeros(dim),
-            bounds=[(-1.0, 1.0)] * m + [(0.0, None)],
-            method="highs",
-            options={"presolve": False},
-        )
-        if res.status != 0 or res.x[m] <= 0.0:
-            return None
-        lam = res.x[:m] / res.x[m]
-    else:
-        lam = np.zeros(m)
+    if not target.any():
+        return _weak_l1_verdict(B, pat, comp, target, sigma_min, np.zeros(m), None)
+    walk = _l1_dual_walk(comp, target)
+    if walk is not None:
+        verdict = _weak_l1_verdict(B, pat, comp, target, sigma_min, *walk)
+        if verdict is not None:
+            return verdict
+    res = linprog(
+        np.r_[np.zeros(m), -1.0],
+        A_eq=np.hstack([comp.T, -target[:, None]]),
+        b_eq=np.zeros(dim),
+        bounds=[(-1.0, 1.0)] * m + [(0.0, None)],
+        method="highs",
+        options={"presolve": False},
+    )
+    if res.status != 0 or res.x[m] <= 0.0:
+        return None
+    lam = res.x[:m] / res.x[m]
+    return _weak_l1_verdict(B, pat, comp, target, sigma_min, lam, np.asarray(res.eqlin.marginals, dtype=float))
+
+
+def _weak_l1_verdict(B, pat, comp, target, sigma_min, lam, y) -> ConditionVerdict | None:
+    """Exact verdict from a solution (lam, y) of the scale program and its dual, or None if it does not re-check."""
     tau = float(np.abs(lam).max())
-    if tau < 1.0:
-        residual = float(np.linalg.norm(comp.T @ lam - target))
-        if (1.0 - tau) * sigma_min <= residual:
+    if tau >= 1.0:
+        return _lp_witness(B, pat, y, {"tau": tau})
+    residual = float(np.linalg.norm(comp.T @ lam - target))
+    if (1.0 - tau) * sigma_min <= residual:
+        return None
+    detail = {
+        "tau": tau,
+        "margin": 1.0 - tau,
+        "lambda": [float(v) for v in lam],
+        "sigma_min": sigma_min,
+        "residual": residual,
+    }
+    return ConditionVerdict(mode="weak_l1", holds=True, certificate_exact=True, detail=detail)
+
+
+def _l1_dual_walk(C: np.ndarray, c: np.ndarray):
+    """min ||C y||_1 subject to c^T y = 1 by a walk over its vertices -> (lam, y), or None.
+
+    C (m x dim, full column rank) is B_Tc and c != 0.  A vertex is a y with
+    dim - 1 rows J of C y at zero; it is the long-step dual simplex
+    (bounded variables) of the scale program, with lam_i = +-1/theta on the
+    other rows.  From y = c/|c|^2 the walk descends in {c^T h = 0, C_J h = 0}
+    along the projected negative gradient, each exact line search adding the
+    row it zeroes to J, until J has dim - 1 rows.  At a vertex one dim x dim
+    solve [C_J^T, -c] (u_J, theta) = -C_N^T s_N gives the multipliers, with
+    s_N = sign(C_N y) (a row at zero keeps the side it last had).  If
+    max |u_J| <= 1 the vertex is optimal: lam = (s_N, u_J)/theta, with u_J
+    clipped to [-1, 1] and theta = ||C y||_1 / c^T y the objective at y, so
+    tau = 1/theta.  Otherwise the row of the largest |u_j| leaves J, moving
+    so that sign(C_j h) = sign(u_j), and an exact line search
+    (``_walk_line``, a weighted median over the breakpoints -r_i/g_i with
+    r = C y, g = C h) finds the row that enters.  Residuals and moves below
+    ``_WALK_TOL`` of their scale count as zero.
+    None when a vertex system is singular (condition number past
+    ``_WALK_COND``), no breakpoint ends a line search, or
+    ``_WALK_STEPS_PER_ROW`` m vertices do not reach the optimum.
+    """
+    m, dim = C.shape
+    zero = _WALK_TOL * float(np.abs(C).max())
+    side = np.ones(m)  # the sign each row's residual has, or last had
+    J = []
+    y = c / (c @ c)
+    basis = (c / math.sqrt(c @ c))[:, None]  # orthonormal, spans c and C_J
+    while len(J) < dim - 1:
+        r, s = _walk_signs(C, y, side, J, zero)
+        grad = C.T @ s
+        h = basis @ (basis.T @ grad) - grad
+        if not h @ h > _WALK_TOL * (grad @ grad):
+            # the objective is flat on the subspace: any direction in it reaches a vertex
+            a = int(np.argmin((basis * basis).sum(axis=1)))
+            h = -(basis @ basis[a])
+            h[a] += 1.0
+        g = _walk_snapped(C, h, zero)
+        step = _walk_line(r, g, s, 0.0)
+        if step is None:
             return None
-        detail = {
-            "tau": tau,
-            "margin": 1.0 - tau,
-            "lambda": [float(v) for v in lam],
-            "sigma_min": sigma_min,
-            "residual": residual,
-        }
-        return ConditionVerdict(mode="weak_l1", holds=True, certificate_exact=True, detail=detail)
-    y = np.asarray(res.eqlin.marginals, dtype=float)
-    return _lp_witness(B, pat, y, {"tau": tau})
+        t, k, passed = step
+        y = y + t * h
+        side[passed] = np.sign(g[passed])
+        J.append(k)
+        q = C[k] - basis @ (basis.T @ C[k])
+        q -= basis @ (basis.T @ q)  # twice is enough
+        basis = np.column_stack([basis, q / math.sqrt(q @ q)])
+    M = np.empty((dim, dim))
+    M[:, -1] = -c
+    for _ in range(_WALK_STEPS_PER_ROW * m):
+        M[:, :-1] = C[J].T
+        try:
+            M_inv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            return None
+        if np.abs(M).sum(axis=1).max() * np.abs(M_inv).sum(axis=1).max() > _WALK_COND:
+            return None
+        y = -M_inv[-1]  # C_J y = 0, c^T y = 1
+        r, s = _walk_signs(C, y, side, J, zero)
+        u = (M_inv @ -(C.T @ s))[:-1]
+        i = int(np.abs(u).argmax())
+        if abs(u[i]) <= 1.0 + _WALK_TOL:
+            # lam from the box and the dual objective at y, so an exact tau stays exact
+            s[J] = np.clip(u, -1.0, 1.0)
+            return s * (c @ y / np.abs(C @ y).sum()), y
+        h = math.copysign(1.0, u[i]) * M_inv[i]  # C_J h = e_i sign(u_i), c^T h = 0
+        g = _walk_snapped(C, h, zero)
+        step = _walk_line(r, g, s, abs(g[J[i]]))
+        if step is None:
+            return None
+        _, k, passed = step
+        side[J[i]] = math.copysign(1.0, u[i])
+        side[passed] = np.sign(g[passed])
+        J[i] = k
+    return None
+
+
+def _walk_snapped(C: np.ndarray, v: np.ndarray, zero: float) -> np.ndarray:
+    """C v with entries at most zero * |v|_1 set to 0."""
+    w = C @ v
+    w[np.abs(w) <= zero * float(np.abs(v).sum())] = 0.0
+    return w
+
+
+def _walk_signs(C, y, side, J, zero):
+    """-> (r, s): the residual C y, and the signs s of the rows off J (0 on J).
+
+    ``side`` is updated in place: a nonzero residual sets its row's side, a
+    zero one keeps it.
+    """
+    r = _walk_snapped(C, y, zero)
+    nonzero = r != 0.0
+    side[nonzero] = np.sign(r[nonzero])
+    s = side.copy()
+    s[J] = 0.0
+    return r, s
+
+
+def _walk_line(r, g, s, slope):
+    """Exact line search on sum_i |r_i + t g_i| over t >= 0 -> (t, entering row, rows passed), or None.
+
+    The rows off J (s_i != 0) whose residual meets zero ahead (s_i g_i < 0;
+    at t = 0 for a residual already at zero) are the breakpoints.  The slope
+    at t = 0 is ``slope`` (the leaving row's |g_j|, 0 on a descent to the
+    first vertex) plus s^T g, and rises by 2 |g_i| at each breakpoint; the
+    step ends at the first one past which it is no longer negative.
+    """
+    idx = np.flatnonzero(s * g < 0.0)
+    stops = -r[idx] / g[idx]
+    order = np.argsort(stops, kind="stable")
+    pos = int(np.searchsorted(slope + s @ g + 2.0 * np.cumsum(np.abs(g[idx[order]])), 0.0))
+    if pos == idx.size:
+        return None
+    return float(stops[order[pos]]), int(idx[order[pos]]), idx[order[:pos]]
 
 
 def _lp_witness(B, pat, y, detail) -> ConditionVerdict | None:

@@ -50,6 +50,10 @@ _SUPPORT_REL_TOL = 1e-9
 # at most this many segments per column of A
 _PATH_TOL = 1e-10
 _PATH_STEPS_PER_COLUMN = 4
+# a segment that meets the measurements is the path's end unless an inactive
+# correlation reaches +-lam more than this fraction of lam before lam = 0: on
+# that segment every step is lam up to rounding, amplified near a tie
+_END_TOL = 1e-6
 
 # the smoothing schedule of solve_lp_irls
 _IRLS_EPS_INIT = 1.0
@@ -173,7 +177,8 @@ def _l1_homotopy(A: np.ndarray, y: np.ndarray):
     start every column tied at the largest correlation joins) or an active
     coefficient reaching 0 (that column leaves T).  A
     segment whose end at lam = 0 meets the measurements without a sign
-    change is the last one, and its nu the dual certificate.  The solves use
+    change, and on which no inactive correlation reaches +-lam, is the last
+    one, and its nu the dual certificate.  The solves use
     a reduced QR of A_T kept by column inserts and deletes.  None when a
     joining column is (numerically) dependent on T or T already has m
     columns, when the path reaches lam = 0 off the measurements (y outside
@@ -201,11 +206,6 @@ def _l1_homotopy(A: np.ndarray, y: np.ndarray):
         d = trtrs(R, w)[0]
         nu = Q @ w
         end = coef + lam * d
-        # sign changes below the refit's support threshold do not count
-        if (end * s).min() >= -_SUPPORT_REL_TOL * np.abs(end).max() and np.linalg.norm(y - Q @ (R @ end)) <= y_tol:
-            x = np.zeros(n)
-            x[active] = end
-            return x, nu, step
         slope = A.T @ nu
         floor = _PATH_TOL * lam
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -213,6 +213,15 @@ def _l1_homotopy(A: np.ndarray, y: np.ndarray):
             leave = -coef / d
         join = np.where(join > floor, join, np.inf)
         leave = np.where(leave > floor, leave, np.inf)
+        # sign changes below the refit's support threshold do not count
+        if (end * s).min() >= -_SUPPORT_REL_TOL * np.abs(end).max() and np.linalg.norm(y - Q @ (R @ end)) <= y_tol:
+            # the end stands unless an inactive correlation reaches +-lam on the way; one
+            # already tied at +-lam rides it (its step is 0/0), and an active one is NaN
+            free = np.tile(np.abs(corr) < (1.0 - _PATH_TOL) * lam, 2)
+            if join[free].min(initial=np.inf) >= (1.0 - _END_TOL) * lam:
+                x = np.zeros(n)
+                x[active] = end
+                return x, nu, step
         j, i = int(join.argmin()), int(leave.argmin())
         gamma = min(join[j], leave[i])
         if gamma >= lam:

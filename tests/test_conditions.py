@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,42 @@ def test_pattern_validation():
 def test_pattern_rejections(support, signs, message):
     with pytest.raises(ValueError, match=message):
         C.SupportPattern(support=support, signs=signs)
+
+
+def _pattern_error(support, signs):
+    """The pattern checks in plain Python, in their order: the error message, or None."""
+    if len(set(support)) != len(support):
+        return "support indices must be distinct"
+    if list(support) != sorted(support):
+        return "support must be sorted"
+    if any(i < 0 for i in support):
+        return "support indices must be nonnegative"
+    if len(signs) != len(support) or any(s not in (-1, 1) for s in signs):
+        return "signs must be +-1, one per support index"
+    return None
+
+
+def test_pattern_checks_match_the_plain_python_rules():
+    values = [0, 1, 2, -1, 1.0, 2.5, np.int64(2), np.float32(3.0), True, False, Fraction(3)]
+    sign_lists = [
+        (1, -1, 1), (-1.0, True, np.int64(1)), (Fraction(-1), 1, 1), (1, "-1", 1), (1, 2, -1), (1, (1,), -1), (1, 1, 1, -1)
+    ]
+    checked = 0
+    for size in range(4):
+        for support in itertools.product(values, repeat=size):
+            for signs in sign_lists:
+                signs = signs[:size] if len(signs) == 3 else signs
+                try:
+                    pat = C.SupportPattern(support, signs)
+                    error = None
+                except ValueError as exc:
+                    error = str(exc)
+                assert error == _pattern_error(support, signs), (support, signs)
+                if error is None:
+                    assert pat.support_array.tolist() == np.array(support, dtype=int).tolist()
+                    assert pat.sign_array.tolist() == [float(s) for s in signs]
+                checked += 1
+    assert checked == len(sign_lists) * sum(len(values) ** size for size in range(4))
 
 
 def test_partition_on_the_explicit_kernel():
@@ -532,19 +569,55 @@ def test_weak_l1_tau_matches_the_sup_norm_lp(cases):
         assert verdict.detail["tau"] == pytest.approx(tau, rel=1e-9, abs=0.0)
 
 
-def test_weak_l1_lp_has_dim_equality_rows_and_no_inequality_rows(monkeypatch):
-    calls = []
+def _no_lp(*args, **kwargs):
+    raise AssertionError("the vertex walk decides this verdict")
 
-    def recording_linprog(*args, **kwargs):
-        calls.append(kwargs)
-        return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(C, "linprog", recording_linprog)
-    B, pat = next(_probe_kernels_600())
-    assert C.certify(B, "weak_l1", 1.0, pat).certificate_exact
-    (kwargs,) = calls
-    assert kwargs.get("A_ub") is None
-    assert np.shape(kwargs["A_eq"])[0] == B.shape[1]
+def test_weak_l1_probe_kernels_are_decided_without_linprog(monkeypatch):
+    monkeypatch.setattr(C, "linprog", _no_lp)
+    for B, pat in _probe_kernels_600():
+        assert C.certify(B, "weak_l1", 1.0, pat).certificate_exact
+
+
+@pytest.mark.parametrize("cases", [_pattern_sets_n200, _probe_kernels_600])
+def test_weak_l1_highs_fallback_gives_the_walks_verdict(monkeypatch, cases):
+    walked = [C.certify(B, "weak_l1", 1.0, pat) for B, pat in cases()]
+    monkeypatch.setattr(C, "_l1_dual_walk", lambda comp, target: None)
+    for (B, pat), verdict in zip(cases(), walked):
+        fallback = C.certify(B, "weak_l1", 1.0, pat)
+        assert fallback.certificate_exact and fallback.holds == verdict.holds
+        assert fallback.detail["tau"] == pytest.approx(verdict.detail["tau"], rel=1e-9, abs=0.0)
+
+
+def _walk_cases():
+    """(B_Tc, c) with ties: integer entries, and Gaussian rows repeated up to sign."""
+    rng = la.RngSeed(4700).generator()
+    for trial in range(60):
+        n, dim = 20 + trial, 2 + trial % 5
+        B = rng.normal(size=(n, dim))
+        if trial % 2:
+            B = np.round(2.0 * B)
+        else:
+            B[: n // 3] = B[n // 3 : 2 * (n // 3)] * rng.choice([-1.0, 1.0], size=(n // 3, 1))
+        pat = _random_pattern(n, n // 2, 4800 + trial)
+        comp = B[[i for i in range(n) if i not in set(pat.support)]]
+        target = -(pat.sign_array @ B[list(pat.support)])
+        if np.linalg.matrix_rank(comp) == dim and target.any():
+            yield B, pat, comp, target
+
+
+def test_l1_dual_walk_reaches_the_optimum_through_ties():
+    count = 0
+    for B, pat, comp, target in _walk_cases():
+        lam, y = C._l1_dual_walk(comp, target)
+        tau = float(np.abs(lam).max())
+        # weak duality pins tau from both sides: 1/|C y|_1 <= tau <= |lam|_inf
+        assert target @ y == pytest.approx(1.0, rel=1e-12)
+        assert tau * np.abs(comp @ y).sum() == pytest.approx(target @ y, rel=1e-14)
+        assert np.abs(comp.T @ lam - target).max() <= 1e-12 * np.abs(target).max()
+        assert tau == pytest.approx(_reference_tau(B, pat), rel=1e-9, abs=0.0)
+        count += 1
+    assert count >= 50
 
 
 def test_weak_l1_zero_target_holds_exactly():
@@ -616,6 +689,7 @@ def test_weak_l1_on_one_dimensional_kernels_solves_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("a one-dimensional kernel is decided by z = +-1")
 
+    monkeypatch.setattr(C, "_l1_dual_walk", no_lp)
     monkeypatch.setattr(C, "linprog", no_lp)
     for k in (1, 2, 5):
         claims = run_example1(k)["claims"]

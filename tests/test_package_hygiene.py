@@ -9,7 +9,8 @@ stay in ``cli``; ``linalg`` alone shares CSV, for matrix files.
 
 The import-path checks run in new interpreters: importing the package and
 its CLI loads no scipy module, the scipy-free threshold commands run
-without one, and the function-local scipy imports work on a first call.
+without one, l1 solves and weak-l1 verdicts load the LP stack only on their
+HiGHS fallbacks, and the function-local scipy imports work on a first call.
 """
 
 import ast
@@ -151,6 +152,21 @@ except solvers.SolverError:
 print(loaded)
 """
     assert _fresh(code).strip() == "[False, True]"
+
+
+def test_weak_l1_verdicts_load_the_lp_stack_only_on_fallback():
+    # the vertex walk is numpy only; scipy.optimize loads when the HiGHS fallback runs
+    code = """
+import sys
+from lprecovery import conditions, linalg
+B = linalg.sample_gaussian_matrix(600, 6, 601)
+verdict = conditions.certify(B, "weak_l1", 1.0, conditions.SupportPattern.nonnegative(480))
+loaded = [verdict.certificate_exact, 'scipy.optimize' in sys.modules]
+conditions._l1_dual_walk = lambda comp, target: None
+verdict = conditions.certify(B, "weak_l1", 1.0, conditions.SupportPattern.nonnegative(480))
+print(loaded + [verdict.certificate_exact, 'scipy.optimize' in sys.modules])
+"""
+    assert _fresh(code).strip() == "[True, False, True, True]"
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():

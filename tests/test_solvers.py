@@ -285,6 +285,30 @@ def test_l1_certifies_and_recovers_with_redundant_rows(defect):
         assert result.objective == pytest.approx(np.abs(x).sum(), rel=1e-12)
 
 
+def test_l1_path_does_not_end_before_a_correlation_reaches_lam(monkeypatch):
+    # A at the 1e-6 scale, from a fuzz of small Gaussian systems: a segment meets y within
+    # the absolute 1e-9 tolerance (7e-5 of |y|) while an inactive correlation reaches +-lam
+    # after 0.67 lam; ended there, its nu had |A^T nu|_inf = 1.21 and the simplex ran
+    A = np.array(
+        [[3.159818995301821e-07, -2.547375467819087e-06, 3.8456223559280697e-07, -2.0444078961058042e-07,
+          3.2453680935243425e-07, 1.2015776813639011e-06, -8.470020611505601e-08, -6.757495945224627e-07],
+         [-9.1616948921254e-07, 1.0432277273078572e-06, 6.392062819757768e-07, 1.2507892297742368e-06,
+          2.297916720559002e-06, -3.5926702150501295e-06, 1.9339248154911302e-07, 1.8547957127781068e-07],
+         [-8.198769546760688e-07, 1.1709507643873708e-06, -2.1324676069595832e-06, -1.6800165269725565e-06,
+          -2.261739483554911e-06, 1.3254258754013994e-06, -2.2401676668595305e-06, -1.2441676235254154e-06]]
+    )
+    x = np.zeros(8)
+    x[[0, 6]] = [0.009469732617387093, -1.1662889645265948]
+
+    def no_simplex(A, y):
+        raise AssertionError("the path certifies this instance")
+
+    monkeypatch.setattr(sv, "_l1_simplex", no_simplex)
+    result = sv.solve_l1(sv.RecoveryInstance(A=A, y=A @ x, p=1.0))
+    assert np.abs(A @ result.x_hat - A @ x).max() <= 1e-15
+    assert result.objective <= np.abs(x).sum()
+
+
 def test_l1_infeasible_measurements_raise():
     A = la.sample_gaussian_matrix(10, 20, 21)
     A[4] = 0.0
